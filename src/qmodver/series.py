@@ -130,15 +130,7 @@ class PuiseuxSeries:
             raise SeriesError(f"monomial exponent {exp} not below order {order}")
         if domain is None:
             domain = COMPLEX if isinstance(coeff, complex) else EXACT
-        coeff = _check_coeff(coeff, domain)
-        if coeff == 0:
-            return PuiseuxSeries.zero(order, domain)
-        D = lcm(exp.denominator, order.denominator)
-        off = int(exp * D)
-        n = _slot_count(order, D, off)
-        cs = [_zero_of(domain)] * n
-        cs[0] = coeff
-        return PuiseuxSeries(D, off, tuple(cs), order, domain)
+        return PuiseuxSeries.from_terms([(exp, coeff)], order, domain)
 
     @staticmethod
     def from_terms(terms, order: RationalLike, domain: str = EXACT,
@@ -154,15 +146,31 @@ class PuiseuxSeries:
             c = _check_coeff(c, domain)
             acc[e] = acc.get(e, _zero_of(domain)) + c
             D = lcm(D, e.denominator)
-        acc = {e: c for e, c in acc.items() if c != 0}
-        if not acc:
+        return PuiseuxSeries._from_slots(((int(e * D), c) for e, c in acc.items()),
+                                         D, order, domain)
+
+    @staticmethod
+    def _from_slots(terms, D: int, order: Fraction, domain: str) -> "PuiseuxSeries":
+        """Accumulate (k, coefficient) pairs at exponents k/D below order; the
+        first nonzero slot becomes the offset."""
+        top = math.ceil(order * D)
+        acc: dict[int, Coeff] = {}
+        for k, c in terms:
+            if k < top:
+                acc[k] = acc[k] + c if k in acc else c
+        nonzero = [k for k, c in acc.items() if c != 0]
+        if not nonzero:
             return PuiseuxSeries.zero(order, domain)
-        off = min(int(e * D) for e in acc)
-        n = _slot_count(order, D, off)
-        cs = [_zero_of(domain)] * n
-        for e, c in acc.items():
-            cs[int(e * D) - off] = c
+        off = min(nonzero)
+        cs = [_zero_of(domain)] * (top - off)
+        for k in nonzero:
+            cs[k - off] = acc[k]
         return PuiseuxSeries(D, off, tuple(cs), order, domain)
+
+    def _slots(self, D: int) -> list:
+        """Nonzero (k, coefficient) pairs, exponent k/D, on a grid D divisible by ours."""
+        step = D // self.ramification
+        return [((self.offset + i) * step, c) for i, c in enumerate(self.coeffs) if c != 0]
 
     # -- structure ---------------------------------------------------------
 
@@ -228,15 +236,8 @@ class PuiseuxSeries:
             return NotImplemented
         self._require_same_domain(other)
         order = min(self.order, other.order)
-        D = lcm(self.ramification, other.ramification)
-        acc: dict[Fraction, Coeff] = {}
-        for e, c in self.terms():
-            if e < order:
-                acc[e] = acc.get(e, _zero_of(self.domain)) + c
-        for e, c in other.terms():
-            if e < order:
-                acc[e] = acc.get(e, _zero_of(self.domain)) + c
-        return PuiseuxSeries.from_terms(acc.items(), order, self.domain, D)
+        D = lcm(self.ramification, other.ramification, order.denominator)
+        return PuiseuxSeries._from_slots(self._slots(D) + other._slots(D), D, order, self.domain)
 
     def __neg__(self) -> "PuiseuxSeries":
         return PuiseuxSeries(self.ramification, self.offset,
@@ -259,19 +260,11 @@ class PuiseuxSeries:
         self._require_same_domain(other)
         order = min(self.order + other._lead_or_order(),
                     other.order + self._lead_or_order())
-        D = lcm(self.ramification, other.ramification)
-        a = list(self.terms())
-        b = list(other.terms())
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[Fraction, Coeff] = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = ea + eb
-                if e >= order:
-                    break
-                acc[e] = acc.get(e, _zero_of(self.domain)) + ca * cb
-        return PuiseuxSeries.from_terms(acc.items(), order, self.domain, D)
+        D = lcm(self.ramification, other.ramification, order.denominator)
+        top = math.ceil(order * D)
+        a, b = self._slots(D), other._slots(D)
+        products = ((ka + kb, ca * cb) for ka, ca in a for kb, cb in b if ka + kb < top)
+        return PuiseuxSeries._from_slots(products, D, order, self.domain)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if not isinstance(n, int) or n < 0:
@@ -282,7 +275,12 @@ class PuiseuxSeries:
         return out
 
     def invert(self) -> "PuiseuxSeries":
-        """Multiplicative inverse; requires a nonzero leading coefficient."""
+        """Multiplicative inverse; requires a nonzero leading coefficient.
+
+        Solves b_0 = 1/a_0, b_m = -(1/a_0) sum_k a_k b_{m-k} only for m on the
+        support lattice gZ, g = support_step() in slots (24 for eta on its
+        1/24 grid): every other b_m is zero.
+        """
         lead = self.lead()
         if lead is None:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
@@ -296,10 +294,10 @@ class PuiseuxSeries:
         inv_a0 = (1 / a0) if self.domain == EXACT else (1.0 / a0)
         tail = [(k - i0, c) for k, c in enumerate(self.coeffs)
                 if k > i0 and c != 0]
+        g = int(self.support_step() * D)
         b = [_zero_of(self.domain)] * n
-        if n > 0:
-            b[0] = inv_a0
-        for m in range(1, n):
+        b[0] = inv_a0
+        for m in range(g, n, g):
             s = _zero_of(self.domain)
             for k, c in tail:
                 if k > m:

@@ -154,27 +154,26 @@ def _cast(x: Fraction, exact: bool):
 
 
 def euler_product(order) -> PuiseuxSeries:
-    """prod_{n=1}^{ceil(order)} (1 - q^n), exact on the integer grid."""
+    """prod_{n>=1} (1 - q^n) below `order`, exact on the integer grid.
+
+    Built from Euler's pentagonal number theorem,
+    prod (1 - q^n) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}: about 2 sqrt(2N/3)
+    nonzero terms below order N and no series multiplication.
+    """
     order = Fraction(order)
-    out = PuiseuxSeries.one(order)
-    for n in range(1, math.ceil(order) + 1):
-        if n >= order:
-            break
-        out = out * PuiseuxSeries.from_terms(
-            [(Fraction(0), Fraction(1)), (Fraction(n), Fraction(-1))], order)
-    return out
+    terms = [(0, 1)]
+    k = 1
+    while k * (3 * k - 1) // 2 < order:
+        sign = -1 if k % 2 else 1
+        terms += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
+    return PuiseuxSeries.from_terms(terms, order)
 
 
 def distinct_parts_product(order) -> PuiseuxSeries:
-    """prod (1 + q^n): generating function of partitions into distinct parts."""
+    """prod (1 + q^n) = prod (1 - q^{2n}) / prod (1 - q^n): partitions into distinct parts."""
     order = Fraction(order)
-    out = PuiseuxSeries.one(order)
-    for n in range(1, math.ceil(order) + 1):
-        if n >= order:
-            break
-        out = out * PuiseuxSeries.from_terms(
-            [(Fraction(0), Fraction(1)), (Fraction(n), Fraction(1))], order)
-    return out
+    return (euler_product(order).rescale(2) * partition_gf(order)).truncate(order)
 
 
 def dedekind_eta(order) -> PuiseuxSeries:
@@ -188,20 +187,19 @@ def eta_half_period_series(order) -> PuiseuxSeries:
 
     The pointwise principal-branch value of eta at (tau+1)/2 is this series
     times e^{i pi/24}; the series itself is exact rational on the 1/48 grid.
+    Built as the Euler product in q^{1/2} under tau -> tau + 1, which
+    multiplies q^{n/2} by (-1)^n and so stays exact.
     """
     order = Fraction(order)
-    out = PuiseuxSeries.one(order)
-    n = 1
-    while Fraction(n, 2) < order:
-        sign = Fraction(1) if n % 2 else Fraction(-1)
-        out = out * PuiseuxSeries.from_terms(
-            [(Fraction(0), Fraction(1)), (Fraction(n, 2), sign)], order)
-        n += 1
-    return out.shifted(Fraction(1, 48)).truncate(order)
+    return (euler_product(2 * order).rescale(Fraction(1, 2)).shift_tau(1)
+            .shifted(Fraction(1, 48)).truncate(order))
 
 
 def partition_gf(order) -> PuiseuxSeries:
     """sum_{n>=0} P(n) q^n = prod (1 - q^n)^{-1}."""
+    order = Fraction(order)
+    if order <= 0:
+        raise SeriesError(f"partition_gf needs a positive order, got {order}")
     return euler_product(order).invert()
 
 

@@ -199,3 +199,86 @@ def test_exponent_grid_closure(a, b):
     for out in (a + b, a * b):
         for e, _ in out.terms():
             assert (e * out.ramification).denominator == 1
+
+
+# -- the slot kernels against plain references ------------------------------
+
+def dense_invert(u):
+    """The inversion recurrence walked over every slot of the grid."""
+    i0 = next(i for i, c in enumerate(u.coeffs) if c != 0)
+    lead, a0 = u.exponent(i0), u.coeffs[i0]
+    order = u.order - 2 * lead
+    off = -(u.offset + i0)
+    n = max(0, math.ceil(order * u.ramification - off))
+    b = [F(0)] * n
+    b[0] = 1 / a0
+    for m in range(1, n):
+        b[m] = -sum((u.coeffs[i0 + k] * b[m - k] for k in range(1, m + 1)
+                     if i0 + k < len(u.coeffs)), F(0)) / a0
+    return PuiseuxSeries(u.ramification, off, tuple(b), order, EXACT)
+
+
+def dict_mul(a, b):
+    """Product through a Fraction-keyed dict and from_terms."""
+    def lead_or_order(s):
+        return s.order if s.lead() is None else s.lead()
+
+    order = min(a.order + lead_or_order(b), b.order + lead_or_order(a))
+    acc = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            if ea + eb < order:
+                acc[ea + eb] = acc.get(ea + eb, F(0)) + ca * cb
+    return PuiseuxSeries.from_terms(acc.items(), order, EXACT,
+                                    math.lcm(a.ramification, b.ramification))
+
+
+def dict_add(a, b):
+    order = min(a.order, b.order)
+    terms = [(e, c) for s in (a, b) for e, c in s.terms() if e < order]
+    return PuiseuxSeries.from_terms(terms, order, EXACT,
+                                    math.lcm(a.ramification, b.ramification))
+
+
+@st.composite
+def lattice_unit(draw):
+    """A series on the 1/D grid whose nonzero tail lies on multiples of g slots."""
+    D = draw(st.sampled_from([1, 2, 24]))
+    g = draw(st.integers(min_value=1, max_value=6))
+    off = draw(st.integers(min_value=-2 * D, max_value=D))
+    # above both the lead and twice the lead, so the inverse keeps a term
+    order = F(max(off, 2 * off) + draw(st.integers(min_value=1, max_value=5 * D)), D) \
+        + draw(st.sampled_from([F(0), F(1, 3)]))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=12), max_size=5, unique=True))
+    lead = draw(coeffs.filter(lambda c: c != 0))
+    terms = [(F(off, D), lead)] + [(F(off + g * j, D), draw(coeffs)) for j in steps]
+    return PuiseuxSeries.from_terms(terms, order, ramification=D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_unit())
+def test_invert_on_support_lattice(u):
+    inv = u.invert()
+    assert (u * inv).equals(PuiseuxSeries.one(inv.order))
+    assert inv.to_json_dict() == dense_invert(u).to_json_dict()
+
+
+@st.composite
+def grid_series(draw):
+    D = draw(st.sampled_from([1, 3, 8, 24]))
+    order = draw(st.sampled_from([F(4), F(7, 3), F(41, 8), F(13, 2)]))
+    exps = draw(st.lists(st.integers(min_value=-2 * D, max_value=int(order * D) - 1),
+                         max_size=8))
+    s = PuiseuxSeries.from_terms([(F(e, D), draw(coeffs)) for e in exps], order,
+                                 ramification=D)
+    # truncation can leave an order whose denominator is off the grid
+    return s.truncate(order - draw(st.sampled_from([F(0), F(1, 5)])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_series(), grid_series())
+def test_slot_kernels_match_dict_reference(a, b):
+    # pins the grid, offset and order of the result, not only its coefficients
+    assert (a * b).to_json_dict() == dict_mul(a, b).to_json_dict()
+    assert (a + b).to_json_dict() == dict_add(a, b).to_json_dict()
+    assert (a - a).to_json_dict() == PuiseuxSeries.zero(a.order).to_json_dict()

@@ -7,7 +7,7 @@ from qmodver.series import COMPLEX, EXACT, PuiseuxSeries
 from qmodver.specfun import (InvalidTwistError, TwistParams, bernoulli_number,
                              bernoulli_poly, dedekind_eta, distinct_parts_product,
                              divisor_sigma, eisenstein, eta_half_period_series,
-                             jacobi_theta, partition_gf, q_twisted)
+                             euler_product, jacobi_theta, partition_gf, q_twisted)
 
 
 def brute_partitions(n):
@@ -200,7 +200,67 @@ class TestTheta:
         assert jacobi_theta(3, 30).shift_tau(1).equals(jacobi_theta(4, 30))
 
 
+# -- the product loops the closed forms replaced, kept as references ---------
+
+def ref_euler_product(order):
+    """prod_{n < order} (1 - q^n), one series multiplication per factor."""
+    order = F(order)
+    out = PuiseuxSeries.one(order)
+    n = 1
+    while n < order:
+        out = out * PuiseuxSeries.from_terms([(F(0), F(1)), (F(n), F(-1))], order)
+        n += 1
+    return out
+
+
+def ref_distinct_parts_product(order):
+    order = F(order)
+    out = PuiseuxSeries.one(order)
+    n = 1
+    while n < order:
+        out = out * PuiseuxSeries.from_terms([(F(0), F(1)), (F(n), F(1))], order)
+        n += 1
+    return out
+
+
+def ref_eta_half_period_series(order):
+    """q^{1/48} prod (1 - (-1)^n q^{n/2}) multiplied out factor by factor."""
+    order = F(order)
+    out = PuiseuxSeries.one(order)
+    n = 1
+    while F(n, 2) < order:
+        sign = F(1) if n % 2 else F(-1)
+        out = out * PuiseuxSeries.from_terms([(F(0), F(1)), (F(n, 2), sign)], order)
+        n += 1
+    return out.shifted(F(1, 48)).truncate(order)
+
+
+CLOSED_FORM_ORDERS = [F(1, 48), F(1, 2), F(1), F(7, 3), F(2), F(5), F(61, 2),
+                      F(30), F(61), F(121)]
+CLOSED_FORMS = {
+    "euler_product": (euler_product, ref_euler_product),
+    "dedekind_eta": (dedekind_eta,
+                     lambda o: ref_euler_product(o).shifted(F(1, 24)).truncate(o)),
+    "partition_gf": (partition_gf, lambda o: ref_euler_product(o).invert()),
+    "distinct_parts_product": (distinct_parts_product, ref_distinct_parts_product),
+    "eta_half_period_series": (eta_half_period_series, ref_eta_half_period_series),
+}
+
+
+@pytest.mark.parametrize("order", CLOSED_FORM_ORDERS, ids=str)
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_matches_product_loop(name, order):
+    # same coefficients, grid (ramification, offset) and order as the loop
+    closed, ref = CLOSED_FORMS[name]
+    assert closed(order).to_json_dict() == ref(order).to_json_dict()
+
+
 class TestPartitionGf:
+    def test_golden_values(self):
+        pg = partition_gf(201)
+        assert pg.coefficient_at(100) == 190569292
+        assert pg.coefficient_at(200) == 3972999029388
+
     def test_low_coefficients(self):
         pg = partition_gf(12)
         assert pg.coefficient_at(0) == 1

@@ -132,6 +132,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1/24\t1" in out
 
+    def test_nonpositive_orders(self, capsys):
+        assert cli.main(["expand", "--series", "eta", "--order", "0"]) == 0
+        assert capsys.readouterr().out == "# O(q^(0))\n"
+        # the character builds its oscillator factor one order higher
+        assert cli.main(["char", "--pair", "0,1", "--order", "-1"]) == 2
+        assert capsys.readouterr().err == "error: partition_gf needs a positive order, got 0\n"
+
     def test_expand_json_schema(self, capsys):
         assert cli.main(["expand", "--series", "theta3", "--order", "4",
                          "--format", "json"]) == 0
