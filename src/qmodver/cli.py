@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,16 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return tol
 
 
 def parse_complex_pair(text: str) -> complex:
@@ -101,6 +112,10 @@ def cmd_char(args) -> int:
 
 def cmd_check(args) -> int:
     points = tuple(args.tau) if args.tau else None
+    suites = verify.suites_of(args.suite)
+    for flag, value in (("tau", args.tau), ("tol", args.tol)):
+        if value is not None and not any(flag in verify.SUITE_FLAGS[s] for s in suites):
+            print(f"note: --{flag} is ignored by suite {args.suite}", file=sys.stderr)
     reports, status = verify.run_suite(
         args.suite, exact_order=args.order, numeric_order=args.order,
         tol=args.tol, sample_points=points)
@@ -154,7 +169,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
     p.add_argument("--order", type=parse_fraction, default=None,
                    help="override the per-check build order")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=parse_tolerance, default=None)
     p.add_argument("--tau", type=parse_complex_pair, action="append",
                    help="sample point re,im (repeatable)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -167,7 +182,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--lhs", required=True, help="series spec for f")
     p.add_argument("--rhs", required=True, help="series spec for g")
     p.add_argument("--tau", type=parse_complex_pair, action="append", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument("--order", type=parse_fraction, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_transform)

@@ -95,20 +95,24 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
 
     Each oscillator/lattice state of total exponent e contributes sign * e * q^e,
     so this must agree with q d/dq of the character; the construction here never
-    calls q_d_dq (independent cross-check).
+    calls q_d_dq (independent cross-check).  States are summed on integer slots
+    k = e * D of the grid D = lcm(24, order.denominator), as numerators over D.
     """
     alternating, twisted, _ = _SECTORS[_sector_key(sector)]
     order = Fraction(order)
+    D = math.lcm(24, order.denominator)
+    top = math.ceil(order * D)
     n_max = math.ceil(order - PREFACTOR_EXP + (Fraction(1, 8) if twisted else 0)) + 1
     counts = _partition_counts(max(0, n_max))
     N = math.isqrt(max(0, math.ceil(2 * order))) + 3
     terms = []
     for s in range(-N, N + 1):
-        es = _lattice_exponent(s, twisted)
+        es = PREFACTOR_EXP + _lattice_exponent(s, twisted)
+        k0 = es.numerator * (D // es.denominator)
         sign = -1 if (alternating and s % 2) else 1
         for n in range(0, n_max + 1):
-            e = PREFACTOR_EXP + n + es
-            if e >= order:
+            k = k0 + n * D
+            if k >= top:
                 break
-            terms.append((e, Fraction(sign * counts[n]) * e))
-    return PuiseuxSeries.from_terms(terms, order, ramification=24)
+            terms.append((k, sign * counts[n] * k))
+    return PuiseuxSeries.from_slots(terms, D, order, den=D)

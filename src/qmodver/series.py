@@ -3,9 +3,20 @@
 A series lives on the exponent grid (offset + i)/ramification, i >= 0, and is
 known modulo q^order: every retained exponent is strictly below `order`, and
 operations propagate the sharpest order they can justify rather than a fixed
-global truncation.  Exact-domain coefficients are `fractions.Fraction`;
-complex-domain coefficients are python `complex` with finite components.
-All values are immutable and all operations are pure.
+global truncation.  All values are immutable and all operations are pure.
+
+Exact-domain coefficients are canonical: an `int` when the value is integral,
+a `fractions.Fraction` otherwise (every operation returns canonical
+coefficients and accepts any mix of the two).  Complex-domain coefficients are
+python `complex` with finite components.
+
+The exact kernels work on integers.  `__mul__` writes each operand once as
+integer numerators over one common denominator (the lcm of its coefficient
+denominators, 1 for eta, theta, partitions and the characters) and convolves
+plain ints on integer slot indices of a common grid; `invert` runs its
+triangular recurrence in integers for any leading numerator; `from_slots`
+is the one constructor that sums (slot, value) pairs and builds each output
+coefficient once.
 """
 
 from __future__ import annotations
@@ -14,13 +25,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Union
 
 EXACT = "exact"
 COMPLEX = "complex"
 
-Coeff = Union[Fraction, complex]
+Coeff = Union[int, Fraction, complex]
 RationalLike = Union[Fraction, int]
 
 
@@ -66,17 +78,45 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_EXACT_TYPES = (int, Fraction)
+
+
 def _zero_of(domain: str) -> Coeff:
-    return Fraction(0) if domain == EXACT else complex(0.0)
+    return 0 if domain == EXACT else complex(0.0)
+
+
+def _canon(c) -> Coeff:
+    """An exact coefficient as an int when integral, else as a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise SeriesError(f"exact series needs int or Fraction coefficients, got {type(c).__name__}")
+
+
+def _ratio(n: int, d: int) -> Coeff:
+    """The canonical exact coefficient n/d for integers n and d != 0."""
+    if d == 1:
+        return n
+    g = gcd(n, d)
+    if g == abs(d):
+        return n // d
+    return Fraction(n // g, d // g)
+
+
+def _over_common_den(pairs: list) -> tuple[int, list]:
+    """(d, [(k, c*d)]): (k, exact coefficient) pairs as integer numerators over
+    the lcm d of the coefficient denominators."""
+    d = 1
+    for _, c in pairs:
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in pairs]
 
 
 def _check_coeff(c: Coeff, domain: str) -> Coeff:
     if domain == EXACT:
-        if isinstance(c, int):
-            return Fraction(c)
-        if not isinstance(c, Fraction):
-            raise SeriesError(f"exact series needs Fraction coefficients, got {type(c).__name__}")
-        return c
+        return _canon(c)
     c = complex(c)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise SeriesError("non-finite complex coefficient")
@@ -106,8 +146,12 @@ class PuiseuxSeries:
             raise SeriesError(
                 f"coefficient list length {len(self.coeffs)} != {n} slots below order {self.order}"
             )
-        for c in self.coeffs:
-            _check_coeff(c, self.domain)
+        if self.domain == COMPLEX:
+            for c in self.coeffs:
+                _check_coeff(c, COMPLEX)
+        elif not all(map(isinstance, self.coeffs, repeat(_EXACT_TYPES))):
+            for c in self.coeffs:
+                _canon(c)  # raises on the first non-exact coefficient
 
     # -- constructors ------------------------------------------------------
 
@@ -146,13 +190,20 @@ class PuiseuxSeries:
             c = _check_coeff(c, domain)
             acc[e] = acc.get(e, _zero_of(domain)) + c
             D = lcm(D, e.denominator)
-        return PuiseuxSeries._from_slots(((int(e * D), c) for e, c in acc.items()),
-                                         D, order, domain)
+        return PuiseuxSeries.from_slots(
+            ((e.numerator * (D // e.denominator), c) for e, c in acc.items()), D, order, domain)
 
     @staticmethod
-    def _from_slots(terms, D: int, order: Fraction, domain: str) -> "PuiseuxSeries":
-        """Accumulate (k, coefficient) pairs at exponents k/D below order; the
-        first nonzero slot becomes the offset."""
+    def from_slots(terms, D: int, order: RationalLike, domain: str = EXACT,
+                   den: int = 1) -> "PuiseuxSeries":
+        """Accumulate (k, value) pairs at exponents k/D below order; the first
+        nonzero slot becomes the offset.
+
+        An exact coefficient is the sum of its values divided by den: with
+        den = 1 the values are any exact coefficients, otherwise integer
+        numerators.  Each output coefficient is built once.
+        """
+        order = _as_fraction(order)
         top = math.ceil(order * D)
         acc: dict[int, Coeff] = {}
         for k, c in terms:
@@ -161,11 +212,27 @@ class PuiseuxSeries:
         nonzero = [k for k, c in acc.items() if c != 0]
         if not nonzero:
             return PuiseuxSeries.zero(order, domain)
-        off = min(nonzero)
-        cs = [_zero_of(domain)] * (top - off)
+        base = min(nonzero)
+        values = [_zero_of(domain)] * (top - base)
         for k in nonzero:
-            cs[k - off] = acc[k]
-        return PuiseuxSeries(D, off, tuple(cs), order, domain)
+            values[k - base] = acc[k]
+        return PuiseuxSeries._pack(values, base, D, order, domain, den)
+
+    @staticmethod
+    def _pack(values: list, base: int, D: int, order: Fraction, domain: str,
+              den: int = 1) -> "PuiseuxSeries":
+        """The series whose coefficient at exponent (base + i)/D is values[i]
+        (over den in the exact domain); values covers every slot below order."""
+        first = next((i for i, v in enumerate(values) if v != 0), None)
+        if first is None:
+            return PuiseuxSeries.zero(order, domain)
+        values = values[first:]
+        if domain == EXACT:
+            if den != 1:
+                values = [_ratio(v, den) if v else 0 for v in values]
+            elif not set(map(type, values)) <= {int}:
+                values = [_canon(v) for v in values]
+        return PuiseuxSeries(D, base + first, tuple(values), order, domain)
 
     def _slots(self, D: int) -> list:
         """Nonzero (k, coefficient) pairs, exponent k/D, on a grid D divisible by ours."""
@@ -237,7 +304,7 @@ class PuiseuxSeries:
         self._require_same_domain(other)
         order = min(self.order, other.order)
         D = lcm(self.ramification, other.ramification, order.denominator)
-        return PuiseuxSeries._from_slots(self._slots(D) + other._slots(D), D, order, self.domain)
+        return PuiseuxSeries.from_slots(self._slots(D) + other._slots(D), D, order, self.domain)
 
     def __neg__(self) -> "PuiseuxSeries":
         return PuiseuxSeries(self.ramification, self.offset,
@@ -251,8 +318,11 @@ class PuiseuxSeries:
         c = _check_coeff(c, self.domain)
         if c == 0:
             return PuiseuxSeries.zero(self.order, self.domain)
-        return PuiseuxSeries(self.ramification, self.offset,
-                             tuple(c * x for x in self.coeffs), self.order, self.domain)
+        if self.domain == EXACT:
+            cs = tuple(_canon(c * x) for x in self.coeffs)
+        else:
+            cs = tuple(c * x for x in self.coeffs)
+        return PuiseuxSeries(self.ramification, self.offset, cs, self.order, self.domain)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -263,8 +333,23 @@ class PuiseuxSeries:
         D = lcm(self.ramification, other.ramification, order.denominator)
         top = math.ceil(order * D)
         a, b = self._slots(D), other._slots(D)
-        products = ((ka + kb, ca * cb) for ka, ca in a for kb, cb in b if ka + kb < top)
-        return PuiseuxSeries._from_slots(products, D, order, self.domain)
+        if not a or not b:
+            return PuiseuxSeries.zero(order, self.domain)
+        if self.domain != EXACT:
+            products = ((ka + kb, ca * cb) for ka, ca in a for kb, cb in b if ka + kb < top)
+            return PuiseuxSeries.from_slots(products, D, order, self.domain)
+        # integer numerators over one common denominator per operand
+        da, a = _over_common_den(a)
+        db, b = _over_common_den(b)
+        base = a[0][0] + b[0][0]
+        acc = [0] * max(0, top - base)
+        for ka, x in a:
+            lim, i = top - ka, ka - base
+            for kb, y in b:
+                if kb >= lim:
+                    break
+                acc[i + kb] += x * y
+        return PuiseuxSeries._pack(acc, base, D, order, EXACT, da * db)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if not isinstance(n, int) or n < 0:
@@ -277,40 +362,56 @@ class PuiseuxSeries:
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
 
-        Solves b_0 = 1/a_0, b_m = -(1/a_0) sum_k a_k b_{m-k} only for m on the
-        support lattice gZ, g = support_step() in slots (24 for eta on its
-        1/24 grid): every other b_m is zero.
+        Runs the triangular recurrence only for m on the support lattice gZ,
+        g = support_step() in slots (24 for eta on its 1/24 grid): every
+        other coefficient of the inverse is zero.  Complex series solve
+        b_0 = 1/a_0, b_m = -(1/a_0) sum_k a_k b_{m-k}.  Exact series write
+        their coefficients as integers n_k over a common denominator d and
+        solve c_0 = 1, c_m = -sum_k n_k n_0^(k-1) c_{m-k} in integers
+        (k, m counted in lattice steps), so that b_m = d c_m / n_0^(m+1).
         """
-        lead = self.lead()
-        if lead is None:
+        nz = [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
+        if not nz:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
         D = self.ramification
-        i0 = int(lead * D) - self.offset
-        a0 = self.coeffs[i0]
+        i0, a0 = nz[0]
+        lead = self.exponent(i0)
         # a = a0 q^lead (1 + u); b = a^{-1} known modulo order - 2*lead
         order = self.order - 2 * lead
         off = -(self.offset + i0)
         n = _slot_count(order, D, off)
-        inv_a0 = (1 / a0) if self.domain == EXACT else (1.0 / a0)
-        tail = [(k - i0, c) for k, c in enumerate(self.coeffs)
-                if k > i0 and c != 0]
         g = int(self.support_step() * D)
-        b = [_zero_of(self.domain)] * n
-        b[0] = inv_a0
+        exact = self.domain == EXACT
+        if exact:
+            d, nums = _over_common_den(nz)
+            n0 = nums[0][1]
+            tail = [(i - i0, x * n0 ** ((i - i0) // g - 1)) for i, x in nums[1:]]
+            b0, mult = 1, -1
+        else:
+            tail = [(i - i0, c) for i, c in nz[1:]]
+            b0 = 1.0 / a0
+            mult = -b0
+        zero = _zero_of(self.domain)
+        b = [zero] * n
+        b[0] = b0
         for m in range(g, n, g):
-            s = _zero_of(self.domain)
-            for k, c in tail:
+            s = zero
+            for k, w in tail:
                 if k > m:
                     break
-                s += c * b[m - k]
+                s += w * b[m - k]
             if s != 0:
-                b[m] = -inv_a0 * s
+                b[m] = mult * s
+        if exact and (d, n0) != (1, 1):
+            b = [_ratio(d * c, n0 ** (m // g + 1)) if c else 0 for m, c in enumerate(b)]
         return PuiseuxSeries(D, off, tuple(b), order, self.domain)
 
     def q_d_dq(self) -> "PuiseuxSeries":
         """The derivation q d/dq, i.e. (2 pi i)^{-1} d/dtau: c q^e -> c e q^e."""
         if self.domain == EXACT:
-            cs = tuple(c * self.exponent(i) for i, c in enumerate(self.coeffs))
+            D = self.ramification
+            cs = tuple(_ratio(c.numerator * (self.offset + i), c.denominator * D) if c else 0
+                       for i, c in enumerate(self.coeffs))
         else:
             cs = tuple(c * float(self.exponent(i)) for i, c in enumerate(self.coeffs))
         return PuiseuxSeries(self.ramification, self.offset, cs, self.order, self.domain)
@@ -339,18 +440,21 @@ class PuiseuxSeries:
         if s == 0:
             return self
         if self.domain == EXACT:
+            # the phase of slot i is r/M, r = (offset + i) * s.numerator mod M
+            M = self.ramification * s.denominator
             cs = list(self.coeffs)
             for i, c in enumerate(self.coeffs):
                 if c == 0:
                     continue
-                phase = (self.exponent(i) * s) % 1
-                if phase == 0:
+                r = (self.offset + i) * s.numerator % M
+                if r == 0:
                     continue
-                if phase == Fraction(1, 2):
+                if 2 * r == M:
                     cs[i] = -c
                 else:
                     raise DomainPromotionRequired(
-                        f"multiplier e^(2 pi i {phase}) is irrational; promote to complex first")
+                        f"multiplier e^(2 pi i {Fraction(r, M)}) is irrational; "
+                        "promote to complex first")
             return PuiseuxSeries(self.ramification, self.offset, tuple(cs),
                                  self.order, EXACT)
         cs = tuple(c * cmath.exp(2j * math.pi * float(self.exponent(i) * s))
@@ -379,13 +483,15 @@ class PuiseuxSeries:
 
     def first_mismatch(self, other: "PuiseuxSeries"):
         """First (exponent, self-coeff, other-coeff) differing below min(order), else None."""
-        m = min(self.order, other.order)
-        a, b = self.truncate(m), other.truncate(m)
-        exps = sorted(set(e for e, _ in a.terms()) | set(e for e, _ in b.terms()))
-        for e in exps:
-            ca, cb = a.coefficient_at(e), b.coefficient_at(e)
+        D = lcm(self.ramification, other.ramification)
+        top = math.ceil(min(self.order, other.order) * D)
+        a, b = dict(self._slots(D)), dict(other._slots(D))
+        for k in sorted(a.keys() | b.keys()):
+            if k >= top:
+                break
+            ca, cb = a.get(k, _zero_of(self.domain)), b.get(k, _zero_of(other.domain))
             if ca != cb:
-                return e, ca, cb
+                return Fraction(k, D), ca, cb
         return None
 
     def equals(self, other: "PuiseuxSeries") -> bool:
@@ -452,7 +558,7 @@ class PuiseuxSeries:
         cs = [_zero_of(domain)] * _slot_count(order, D, off)
         for t in d["terms"]:
             c = t["coeff"]
-            cs[t["i"]] = Fraction(c["num"], c["den"]) if domain == EXACT else complex(c["re"], c["im"])
+            cs[t["i"]] = _ratio(c["num"], c["den"]) if domain == EXACT else complex(c["re"], c["im"])
         return PuiseuxSeries(D, off, tuple(cs), order, domain)
 
     def __str__(self):

@@ -110,47 +110,61 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
         raise InvalidTwistError("Q_k with k >= 1 requires (mu, lambda) != (1, 1)")
 
     exact = tw.lambda_real
-    domain = EXACT if exact else COMPLEX
+    K = math.factorial(k - 1)
+    KT = K * tw.T ** (k - 1)  # x^{k-1}/K = num^{k-1}/KT at x = num/T
+    const = -bernoulli_poly(k, Fraction(tw.j, tw.T)) / math.factorial(k)
     if exact:
-        lam = Fraction(1) if tw.l == 0 else Fraction(-1)
+        # lambda = +-1: every coefficient is an integer numerator over den
+        lam = lam_inv = 1 if tw.l == 0 else -1
+        den = lcm(2 * KT, const.denominator)
+        terms = [(0, const.numerator * (den // const.denominator))]
+        lam_const = -den // 2  # lambda/(1 - lambda) at the one exact use, lambda = -1, k = 1
+
+        def weight(num, base):
+            return base * num ** (k - 1) * (den // KT)
     else:
         lam = cmath.exp(2j * math.pi * tw.l / tw.T1)
-    K = math.factorial(k - 1)
-    jT = Fraction(tw.j, tw.T)
-    terms: list[tuple[Fraction, object]] = [(Fraction(0), _cast(-bernoulli_poly(k, jT) / math.factorial(k), exact))]
+        lam_inv = 1 / lam
+        den = 1
+        terms = [(0, complex(const))]
+        lam_const = lam / (1 - lam) / K
 
-    def expand(x: Fraction, base, powfun):
+        def weight(num, base):
+            return complex(Fraction(num ** (k - 1), KT) * base)
+
+    # x = num/T sits at slot num * step of the grid D; q^{mx} at m times that
+    D = lcm(tw.T, order.denominator)
+    step = D // tw.T
+    top = math.ceil(order * D)
+
+    def expand(num: int, base, powfun):
         # base * x^{k-1} lambda^{+-m} q^{mx} for m >= 1 while mx < order
-        w = _cast(Fraction(x ** (k - 1), K) * base, exact)
+        w = weight(num, base)
+        slot = num * step
         m = 1
-        while m * x < order:
-            terms.append((m * x, w * powfun(m)))
+        while m * slot < top:
+            terms.append((m * slot, w * powfun(m)))
             m += 1
 
     # first sum, n >= 0
     if tw.j == 0:
         # n = 0 contributes the constant lambda/(1 - lambda) only when k = 1 (0^0 = 1)
         if k == 1:
-            terms.append((Fraction(0), lam / (1 - lam) / K))
+            terms.append((0, lam_const))
         n0 = 1
     else:
         n0 = 0
-    n = n0
-    while n + jT < order:
-        expand(n + jT, 1, lambda m: lam ** m)
-        n += 1
+    num = n0 * tw.T + tw.j
+    while num * step < top:
+        expand(num, 1, lambda m: lam ** m)
+        num += tw.T
     # second sum, n >= 1, coefficient (-1)^k, powers of lambda^{-1}
     sign = (-1) ** k
-    lam_inv = 1 / lam
-    n = 1
-    while n - jT < order:
-        expand(n - jT, sign, lambda m: lam_inv ** m)
-        n += 1
-    return PuiseuxSeries.from_terms(terms, order, domain, ramification=tw.T)
-
-
-def _cast(x: Fraction, exact: bool):
-    return x if exact else complex(x)
+    num = tw.T - tw.j
+    while num * step < top:
+        expand(num, sign, lambda m: lam_inv ** m)
+        num += tw.T
+    return PuiseuxSeries.from_slots(terms, D, order, EXACT if exact else COMPLEX, den)
 
 
 def euler_product(order) -> PuiseuxSeries:

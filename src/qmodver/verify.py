@@ -20,6 +20,9 @@ DEFAULT_TOLERANCE = 1e-8
 DEFAULT_SAMPLE_POINTS = (2j, 3j, 1 + 2j)
 
 SUITE_NAMES = ("identities", "transforms", "closure", "eisenstein", "qk", "all")
+# the CLI flags each suite reads besides --order
+SUITE_FLAGS = {"identities": (), "transforms": ("tau", "tol"), "closure": ("tau", "tol"),
+               "eisenstein": ("tol",), "qk": ("tol",)}
 
 
 class WrongDomainError(SeriesError):
@@ -320,20 +323,25 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
             f"E{k}-S-modularity", ek, ek,
             TransformSpec(S, Fraction(k), 1.0 + 0j, (2j,), tolerance)))
 
-    # E2 quasi-modularity: (E2(-1/tau) - tau^2 E2(tau))/tau is tau-independent
+    # E2 quasi-modularity: (E2(-1/tau) - tau^2 E2(tau))/tau against its predicted value
+    predicted = 1j / (2 * math.pi)
     e2 = specfun.eisenstein(2, order).to_complex()
-    consts = []
-    tails = []
+    rts = []
+    measured = []
     for tau in (2j, 3j):
         tau = complex(tau)
         lv = e2.evaluate(-1 / tau)
         rv = e2.evaluate(tau)
-        consts.append((lv.value - tau ** 2 * rv.value) / tau)
-        tails.append((lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau))
-    rts = [(3j, abs(consts[1] - consts[0]), max(tails))]
+        const = (lv.value - tau ** 2 * rv.value) / tau
+        measured.append([const.real, const.imag])
+        tail = (lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau)
+        rts.append((tau, abs(const - predicted), tail))
     rep = _numeric_report("E2-S-defect-constancy", order, rts, tolerance)
-    rep.details.append({"defect_over_tau": [consts[0].real, consts[0].imag],
-                        "note": "empirically i/(2 pi)"})
+    rep.details.append({"predicted_defect_over_tau": [predicted.real, predicted.imag],
+                        "measured_defect_over_tau": measured,
+                        "note": "E2 = -E2_classical/12 and E2_classical(-1/tau) = "
+                                "tau^2 E2_classical(tau) + 12 tau/(2 pi i), so the "
+                                "defect/tau is -1/(2 pi i) = i/(2 pi)"})
     reports.append(rep)
     return reports
 
@@ -392,12 +400,17 @@ def qk_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport
     return reports
 
 
+def suites_of(suite_name: str) -> tuple[str, ...]:
+    """The suites a suite name runs ("all" runs every one)."""
+    if suite_name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite_name!r}; choose from {SUITE_NAMES}")
+    return SUITE_NAMES[:-1] if suite_name == "all" else (suite_name,)
+
+
 def run_suite(suite_name: str, exact_order=None, numeric_order=None,
               tol=None, sample_points=None) -> tuple[list[CheckReport], int]:
     """Execute a named check battery; exit status 0 iff all non-expected-fail pass."""
-    if suite_name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite_name!r}; choose from {SUITE_NAMES}")
-    names = SUITE_NAMES[:-1] if suite_name == "all" else (suite_name,)
+    names = suites_of(suite_name)
     reports: list[CheckReport] = []
     aborted = False
     for name in names:

@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from qmodver.lattice import (CENTRAL_CHARGE, all_sectors, character,
-                             eta_theta_form, l0_inserted_trace, lattice_sum)
+from qmodver.lattice import (_SECTORS, CENTRAL_CHARGE, PREFACTOR_EXP,
+                             _lattice_exponent, _partition_counts, all_sectors,
+                             character, eta_theta_form, l0_inserted_trace,
+                             lattice_sum)
 from qmodver.modgroup import SectorPair
+from qmodver.series import PuiseuxSeries
 
 UNTWISTED_ALT = SectorPair(2, 0, 0)   # (1, 1)
 UNTWISTED = SectorPair(2, 0, 1)       # (1, sigma)
@@ -98,3 +102,30 @@ class TestL0InsertedTrace:
             lhs = l0_inserted_trace(sector, 20)
             rhs = character(sector, 20).series.q_d_dq()
             assert lhs.equals(rhs)
+
+
+def ref_l0_inserted_trace(sector, order):
+    """The termwise state sum with Fraction exponents through from_terms."""
+    alternating, twisted, _ = _SECTORS[(sector.i, sector.j)]
+    order = F(order)
+    n_max = math.ceil(order - PREFACTOR_EXP + (F(1, 8) if twisted else 0)) + 1
+    counts = _partition_counts(max(0, n_max))
+    N = math.isqrt(max(0, math.ceil(2 * order))) + 3
+    terms = []
+    for s in range(-N, N + 1):
+        es = _lattice_exponent(s, twisted)
+        sign = -1 if (alternating and s % 2) else 1
+        for n in range(0, n_max + 1):
+            e = PREFACTOR_EXP + n + es
+            if e >= order:
+                break
+            terms.append((e, F(sign * counts[n]) * e))
+    return PuiseuxSeries.from_terms(terms, order, ramification=24)
+
+
+@pytest.mark.parametrize("order", [F(1, 2), F(7, 3), F(30), F(61, 2), F(121)], ids=str)
+def test_l0_inserted_trace_matches_fraction_reference(order):
+    # same grid, offset, order and coefficients as the Fraction-exponent build
+    for sector in all_sectors():
+        got = l0_inserted_trace(sector, order)
+        assert got.to_json_dict() == ref_l0_inserted_trace(sector, order).to_json_dict()

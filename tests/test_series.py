@@ -211,7 +211,7 @@ def dense_invert(u):
     off = -(u.offset + i0)
     n = max(0, math.ceil(order * u.ramification - off))
     b = [F(0)] * n
-    b[0] = 1 / a0
+    b[0] = F(1) / a0
     for m in range(1, n):
         b[m] = -sum((u.coeffs[i0 + k] * b[m - k] for k in range(1, m + 1)
                      if i0 + k < len(u.coeffs)), F(0)) / a0
@@ -282,3 +282,63 @@ def test_slot_kernels_match_dict_reference(a, b):
     assert (a * b).to_json_dict() == dict_mul(a, b).to_json_dict()
     assert (a + b).to_json_dict() == dict_add(a, b).to_json_dict()
     assert (a - a).to_json_dict() == PuiseuxSeries.zero(a.order).to_json_dict()
+
+
+# -- canonical exact coefficients -------------------------------------------
+
+def is_canonical(s):
+    """int exactly when integral, Fraction otherwise."""
+    return s.domain == EXACT and all(
+        type(c) is (int if c.denominator == 1 else F) for c in s.coeffs)
+
+
+def values(s):
+    """Nonzero coefficients keyed by Fraction exponent, as Fractions."""
+    return {e: F(c) for e, c in s.terms()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_series(), grid_series(), lattice_unit(),
+       st.sampled_from([F(2), F(-3), F(1, 2), F(-4, 3)]),
+       st.sampled_from([F(2), F(3), F(1, 2), F(3, 2)]),
+       st.sampled_from([F(0), F(1, 24), F(-5, 6), F(2)]))
+def test_outputs_are_canonical_and_match_fraction_references(a, b, u, c, r, delta):
+    outputs = {
+        "add": (a + b, dict_add(a, b)),
+        "mul": (a * b, dict_mul(a, b)),
+        "invert": (u.invert(), dense_invert(u)),
+    }
+    for name, (got, ref) in outputs.items():
+        assert is_canonical(got), name
+        assert got.to_json_dict() == ref.to_json_dict(), name
+    o = a.order - F(1, 3)
+    copies = {
+        "scale": (a.scale(c), {e: x * c for e, x in values(a).items()}, a.order),
+        "q_d_dq": (a.q_d_dq(), {e: x * e for e, x in values(a).items() if e != 0}, a.order),
+        "shifted": (a.shifted(delta), {e + delta: x for e, x in values(a).items()},
+                    a.order + delta),
+        "rescale": (a.rescale(r), {r * e: x for e, x in values(a).items()}, r * a.order),
+        "truncate": (a.truncate(o), {e: x for e, x in values(a).items() if e < o}, o),
+    }
+    for name, (got, ref, order) in copies.items():
+        assert is_canonical(got), name
+        assert values(got) == ref and got.order == order, name
+    for s in (a, u):
+        back = PuiseuxSeries.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
+        assert is_canonical(back) and back.to_json_dict() == s.to_json_dict()
+
+
+def test_noncanonical_inputs_give_canonical_outputs():
+    # a Fraction-valued tuple built directly, and ints mixed into kernels
+    s = PuiseuxSeries(1, 0, (F(2), F(0), F(-3, 2)), F(3), EXACT)
+    for out in (s * s, s + s, s.invert(), s.scale(F(2, 3)), s.q_d_dq()):
+        assert is_canonical(out)
+    assert (s * s).coefficient_at(0) == 4 and type((s * s).coefficient_at(0)) is int
+    assert s.invert().coefficient_at(0) == F(1, 2)
+
+
+def test_exact_coefficients_are_typechecked():
+    with pytest.raises(SeriesError):
+        PuiseuxSeries(1, 0, (1, 0.5), F(2), EXACT)
+    with pytest.raises(SeriesError):
+        PuiseuxSeries.from_terms([(0, 0.5)], 1)

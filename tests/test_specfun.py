@@ -1,3 +1,5 @@
+import cmath
+import json
 import math
 from fractions import Fraction as F
 
@@ -137,6 +139,59 @@ class TestQTwisted:
     def test_complex_domain_for_general_roots(self):
         s = q_twisted(1, TwistParams(0, 1, 1, 3), 5)
         assert s.domain == COMPLEX
+
+
+def ref_q_twisted(k, tw, order):
+    """Q_k built from Fraction exponents through from_terms, term by term in
+    the same order as q_twisted (so complex twists compare bit for bit)."""
+    order = F(order)
+    if k == 0:
+        return PuiseuxSeries.monomial(F(-1), F(0), order)
+    exact = tw.lambda_real
+    cast = (lambda x: x) if exact else complex
+    lam = (F(1) if tw.l == 0 else F(-1)) if exact else cmath.exp(2j * math.pi * tw.l / tw.T1)
+    K = math.factorial(k - 1)
+    jT = F(tw.j, tw.T)
+    terms = [(F(0), cast(-bernoulli_poly(k, jT) / math.factorial(k)))]
+
+    def expand(x, base, powfun):
+        w = cast(F(x ** (k - 1), K) * base)
+        m = 1
+        while m * x < order:
+            terms.append((m * x, w * powfun(m)))
+            m += 1
+
+    if tw.j == 0:
+        if k == 1:
+            terms.append((F(0), lam / (1 - lam) / K))
+        n = 1
+    else:
+        n = 0
+    while n + jT < order:
+        expand(n + jT, 1, lambda m: lam ** m)
+        n += 1
+    lam_inv = 1 / lam
+    n = 1
+    while n - jT < order:
+        expand(n - jT, (-1) ** k, lambda m: lam_inv ** m)
+        n += 1
+    return PuiseuxSeries.from_terms(terms, order, EXACT if exact else COMPLEX,
+                                    ramification=tw.T)
+
+
+TWISTS = [TwistParams(j, T, l, T1) for T in (1, 2, 3) for T1 in (1, 2, 3)
+          for j in range(T) for l in range(T1)]
+
+
+@pytest.mark.parametrize("order", [F(1, 2), F(7, 3), F(30), F(61, 2), F(121)], ids=str)
+@pytest.mark.parametrize("k", range(5))
+def test_q_twisted_matches_fraction_reference(k, order):
+    # json text, so even the sign of a zero float component must agree
+    for tw in TWISTS:
+        if k >= 1 and tw.trivial:
+            continue
+        got = json.dumps(q_twisted(k, tw, order).to_json_dict())
+        assert got == json.dumps(ref_q_twisted(k, tw, order).to_json_dict()), tw
 
 
 class TestEta:

@@ -187,3 +187,44 @@ class TestCli:
         code = cli.main(["transform", "--gamma", "1,1,0,1", "--weight", "0",
                          "--lhs", "eta", "--rhs", "eta", "--tau", "0,0.001"])
         assert code == 3
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "closure"],
+        ["transform", "--gamma", "0,-1,1,0", "--weight", "4",
+         "--lhs", "E4", "--rhs", "E4", "--tau", "0,2"]], ids=["check", "transform"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "tolerance must be finite and > 0" in err
+
+    def test_ignored_flag_note_on_stderr(self, capsys):
+        assert cli.main(["check", "--suite", "eisenstein"]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["check", "--suite", "eisenstein", "--tau", "1e308,1"]) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        assert err == "note: --tau is ignored by suite eisenstein\n"
+        assert cli.main(["check", "--suite", "identities", "--tol", "1e-8"]) == 0
+        assert capsys.readouterr().err == "note: --tol is ignored by suite identities\n"
+
+    def test_read_flags_give_no_note(self, capsys):
+        assert cli.main(["check", "--suite", "transforms", "--tol", "1e-8",
+                         "--tau", "0,2"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_e2_defect_compared_with_predicted_value():
+    reports, _ = run_suite("eisenstein")
+    rep = next(r for r in reports if r.name == "E2-S-defect-constancy")
+    assert rep.passed and rep.max_residual < 1e-12
+    info = rep.details[-1]
+    assert info["predicted_defect_over_tau"] == [0.0, 1 / (2 * math.pi)]
+    for re, im in info["measured_defect_over_tau"]:
+        assert abs(complex(re, im) - 1j / (2 * math.pi)) == pytest.approx(0, abs=1e-12)
+    # one residual per sample point, each against the predicted value
+    assert [d["tau"] for d in rep.details[:-1]] == [[0.0, 2.0], [0.0, 3.0]]
