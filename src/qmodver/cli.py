@@ -2,7 +2,8 @@
 suites, and test single modular transformation laws.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 convergence or
-precondition failure.
+precondition failure.  When the reader closes stdout early, the exit code is
+the command's own status if it had finished, else 1.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -46,6 +48,8 @@ def parse_complex_pair(text: str) -> complex:
         re, im = (float(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected re,im: {text!r}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise argparse.ArgumentTypeError(f"re,im must be finite, got {text!r}")
     return complex(re, im)
 
 
@@ -192,12 +196,23 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    status = None
     try:
-        return args.func(args)
-    except EvaluationError as exc:
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's final flush of what is still buffered raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL if status is None else status
+    except (EvaluationError, ArithmeticError) as exc:
+        # ArithmeticError: float overflow or division by a vanishing value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (SeriesError, ValueError) as exc:
+    except (SeriesError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

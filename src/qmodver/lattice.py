@@ -6,8 +6,8 @@ and from the eta/theta closed forms."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .modgroup import SectorPair
 from .series import PuiseuxSeries
@@ -35,8 +35,7 @@ def all_sectors() -> list[SectorPair]:
     return [SectorPair(2, i, j) for (i, j) in _SECTORS]
 
 
-@dataclass(frozen=True)
-class CharacterData:
+class CharacterData(NamedTuple):
     sector: SectorPair
     central_charge: Fraction
     series: PuiseuxSeries

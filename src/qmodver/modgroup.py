@@ -4,25 +4,23 @@ slash actions on the upper half plane, and the right action on sector pairs."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+from ._record import FrozenRecord
 
 
 class PoleError(ArithmeticError):
     """c*tau + d vanished numerically (cannot happen strictly inside H)."""
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
+class ModularMatrix(FrozenRecord):
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant of {self.entries()} is not 1")
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant of {(a, b, c, d)} is not 1")
+        super().__init__(a, b, c, d)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -70,18 +68,16 @@ def mobius(m: ModularMatrix, tau: complex) -> complex:
     return (m.a * tau + m.b) / den
 
 
-@dataclass(frozen=True)
-class SectorPair:
+class SectorPair(FrozenRecord):
     """(g, h) = (g0^i, g0^j) for commuting automorphisms in the cyclic group Z_n."""
-    n: int
-    i: int
-    j: int
+    __slots__ = _fields = ("n", "i", "j")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, i: int, j: int):
+        if n < 1:
             raise ValueError("group order must be positive")
-        if not (0 <= self.i < self.n and 0 <= self.j < self.n):
+        if not (0 <= i < n and 0 <= j < n):
             raise ValueError("sector exponents must be reduced mod n")
+        super().__init__(n, i, j)
 
     @staticmethod
     def make(n: int, i: int, j: int) -> "SectorPair":

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
+from operator import add
 from typing import Iterator, NamedTuple, Union
+
+from ._record import FrozenRecord
 
 EXACT = "exact"
 COMPLEX = "complex"
@@ -123,35 +126,39 @@ def _check_coeff(c: Coeff, domain: str) -> Coeff:
     return c
 
 
-def _slot_count(order: Fraction, ramification: int, offset: int) -> int:
-    # number of integers i >= 0 with (offset + i)/D < order
-    return max(0, math.ceil(order * ramification - offset))
+def _slot_count(order: RationalLike, ramification: int, offset: int) -> int:
+    # number of integers i >= 0 with (offset + i)/D < order, in integers:
+    # ceil(order * D - offset) = -((offset * d - n * D) // d) for order = n/d
+    d = order.denominator
+    return max(0, -((offset * d - order.numerator * ramification) // d))
 
 
-@dataclass(frozen=True)
-class PuiseuxSeries:
-    ramification: int
-    offset: int
-    coeffs: tuple
-    order: Fraction
-    domain: str
+class PuiseuxSeries(FrozenRecord):
+    """coeffs[i] is the coefficient of q^((offset + i)/ramification), for every
+    slot below order.  Equality, hashing and repr read these five fields only;
+    `_support` is a private cache of the nonzero support, filled on first use."""
 
-    def __post_init__(self):
-        if self.ramification < 1:
+    _fields = ("ramification", "offset", "coeffs", "order", "domain")
+    __slots__ = _fields + ("_support",)
+
+    def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
+                 domain: str):
+        if ramification < 1:
             raise SeriesError("ramification must be a positive integer")
-        if self.domain not in (EXACT, COMPLEX):
-            raise SeriesError(f"unknown domain {self.domain!r}")
-        n = _slot_count(self.order, self.ramification, self.offset)
-        if len(self.coeffs) != n:
+        if domain not in (EXACT, COMPLEX):
+            raise SeriesError(f"unknown domain {domain!r}")
+        n = _slot_count(order, ramification, offset)
+        if len(coeffs) != n:
             raise SeriesError(
-                f"coefficient list length {len(self.coeffs)} != {n} slots below order {self.order}"
+                f"coefficient list length {len(coeffs)} != {n} slots below order {order}"
             )
-        if self.domain == COMPLEX:
-            for c in self.coeffs:
+        if domain == COMPLEX:
+            for c in coeffs:
                 _check_coeff(c, COMPLEX)
-        elif not all(map(isinstance, self.coeffs, repeat(_EXACT_TYPES))):
-            for c in self.coeffs:
+        elif not all(map(isinstance, coeffs, repeat(_EXACT_TYPES))):
+            for c in coeffs:
                 _canon(c)  # raises on the first non-exact coefficient
+        super().__init__(ramification, offset, coeffs, order, domain)
 
     # -- constructors ------------------------------------------------------
 
@@ -272,15 +279,25 @@ class PuiseuxSeries:
             return _zero_of(self.domain)
         return self.coeffs[int(i)]
 
+    def _nonzero_support(self) -> tuple[int, tuple, tuple]:
+        """(g, exps, cs), computed once per series: g is the gcd spacing of the
+        nonzero slots (1 when there are fewer than two), and exps[t], cs[t] are
+        the float exponent (offset + i)/D and the coefficient of the t-th
+        nonzero slot i, in increasing order."""
+        try:
+            return self._support
+        except AttributeError:
+            pass
+        coeffs, off, D = self.coeffs, self.offset, self.ramification
+        idx = [i for i, c in enumerate(coeffs) if c]
+        g = gcd(*[i - idx[0] for i in idx[1:]]) if len(idx) > 1 else 1
+        support = (g, tuple([(off + i) / D for i in idx]), tuple([coeffs[i] for i in idx]))
+        object.__setattr__(self, "_support", support)
+        return support
+
     def support_step(self) -> Fraction:
         """Gcd spacing of the nonzero support (falls back to the full 1/D grid)."""
-        idx = [i for i, c in enumerate(self.coeffs) if c != 0]
-        if len(idx) < 2:
-            return Fraction(1, self.ramification)
-        g = 0
-        for a, b in zip(idx, idx[1:]):
-            g = gcd(g, b - a)
-        return Fraction(g, self.ramification)
+        return Fraction(self._nonzero_support()[0], self.ramification)
 
     # -- domain handling ---------------------------------------------------
 
@@ -380,7 +397,7 @@ class PuiseuxSeries:
         order = self.order - 2 * lead
         off = -(self.offset + i0)
         n = _slot_count(order, D, off)
-        g = int(self.support_step() * D)
+        g = self._nonzero_support()[0]
         exact = self.domain == EXACT
         if exact:
             d, nums = _over_common_den(nz)
@@ -508,25 +525,30 @@ class PuiseuxSeries:
         support (e.g. 1 for eta, whose exponents are 1/24 + integers), not the
         raw 1/D grid, so sparse theta-type series evaluate wherever they
         actually converge.
+
+        The value is the sum, in increasing exponent order from 0j, of
+        c * exp(w * e) with w = 2 pi i tau and e the correctly rounded float
+        exponent of each nonzero term, read from the cached support.  That is
+        the float arithmetic of summing c * exp(2 pi i tau * float(e)) over
+        Fraction exponents, so results are bit-identical to it; keep the
+        per-term exp (Horner's rule or powers of q would round differently).
         """
         tau = complex(tau)
+        if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+            raise NotInUpperHalfPlane(f"tau = {tau} is not finite")
         if tau.imag <= 0:
             raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} is not positive")
-        step = float(self.support_step())
-        rho = math.exp(-2 * math.pi * tau.imag * step)
+        g, exps, cs = self._nonzero_support()
+        rho = math.exp(-2 * math.pi * tau.imag * (g / self.ramification))
         if rho >= 0.9:
             raise InsufficientConvergence(
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
-        value = 0j
-        mags = []
-        last_mag = 0.0
-        for e, c in self.terms():
-            term = c * cmath.exp(2j * math.pi * tau * float(e))
-            value += term
-            last_mag = abs(term)
-            mags.append(last_mag)
-        tail = last_mag * rho / (1.0 - rho)
-        recent = mags[-5:]
+        w = 2j * math.pi * tau
+        exp = cmath.exp
+        terms = [c * exp(w * e) for e, c in zip(exps, cs)]
+        value = reduce(add, terms, 0j)
+        recent = [abs(t) for t in terms[-5:]]
+        tail = (recent[-1] if recent else 0.0) * rho / (1.0 - rho)
         reliable = all(x >= y for x, y in zip(recent, recent[1:]))
         return EvalResult(value, tail, reliable)
 

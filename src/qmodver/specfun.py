@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
+from ._record import FrozenRecord
 from .series import COMPLEX, EXACT, PuiseuxSeries, SeriesError
 
 
@@ -68,19 +68,16 @@ def eisenstein(k: int, order) -> PuiseuxSeries:
     return PuiseuxSeries.from_terms(terms, order)
 
 
-@dataclass(frozen=True)
-class TwistParams:
+class TwistParams(FrozenRecord):
     """(j, T, l, T1) encoding mu = e^{2 pi i j/T}, lambda = e^{2 pi i l/T1}."""
-    j: int
-    T: int
-    l: int
-    T1: int
+    __slots__ = _fields = ("j", "T", "l", "T1")
 
-    def __post_init__(self):
-        if self.T < 1 or self.T1 < 1:
+    def __init__(self, j: int, T: int, l: int, T1: int):
+        if T < 1 or T1 < 1:
             raise ValueError("twist orders T, T1 must be positive")
-        if not (0 <= self.j < self.T and 0 <= self.l < self.T1):
+        if not (0 <= j < T and 0 <= l < T1):
             raise ValueError("twist exponents must satisfy 0 <= j < T, 0 <= l < T1")
+        super().__init__(j, T, l, T1)
 
     @property
     def trivial(self) -> bool:

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lattice, specfun
+from ._record import Record
 from .modgroup import (IDENTITY, S, T, ModularMatrix, SectorPair, act_on_pair,
                        is_in_gamma, mobius)
 from .series import (EXACT, EvaluationError, PuiseuxSeries, SeriesError)
@@ -33,17 +34,24 @@ class DegenerateSectorError(ValueError):
     """Closure scan on a sector whose character vanishes identically."""
 
 
-@dataclass
-class CheckReport:
-    name: str
-    kind: str  # "exact-series" | "numeric"
-    passed: bool
-    order_used: Fraction
-    max_residual: float | None = None
-    tail_estimate: float | None = None
-    details: list = field(default_factory=list)
-    expected_fail: bool = False
-    aborted: bool = False
+class CheckReport(Record):
+    """One check's verdict; mutable (suites append to details), unhashable."""
+    __slots__ = _fields = ("name", "kind", "passed", "order_used", "max_residual",
+                           "tail_estimate", "details", "expected_fail", "aborted")
+
+    def __init__(self, name: str, kind: str, passed: bool, order_used: Fraction,
+                 max_residual: float | None = None, tail_estimate: float | None = None,
+                 details: list | None = None, expected_fail: bool = False,
+                 aborted: bool = False):
+        self.name = name
+        self.kind = kind  # "exact-series" | "numeric"
+        self.passed = passed
+        self.order_used = order_used
+        self.max_residual = max_residual
+        self.tail_estimate = tail_estimate
+        self.details = [] if details is None else details
+        self.expected_fail = expected_fail
+        self.aborted = aborted
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,13 +82,20 @@ class CheckReport:
         return f"{verdict:5s} [{self.kind}] {self.name}{extra}"
 
 
-@dataclass
-class TransformSpec:
+class TransformSpec(NamedTuple):
     gamma: ModularMatrix
     weight: Fraction
     multiplier: complex
     sample_points: tuple
     tolerance: float
+
+
+def _insufficient_order(name: str, have: Fraction, need: str,
+                        expected_fail: bool = False) -> CheckReport:
+    return CheckReport(name, "exact-series", False, have,
+                       details=[{"error": "insufficient order",
+                                 "have": str(have), "need": need}],
+                       expected_fail=expected_fail)
 
 
 def check_series_equal(name: str, a: PuiseuxSeries, b: PuiseuxSeries,
@@ -90,10 +105,7 @@ def check_series_equal(name: str, a: PuiseuxSeries, b: PuiseuxSeries,
         raise WrongDomainError("exact comparison requires exact-domain series")
     m = min(a.order, b.order)
     if required_order is not None and m < Fraction(required_order):
-        return CheckReport(name, "exact-series", False, m,
-                           details=[{"error": "insufficient order",
-                                     "have": str(m), "need": str(required_order)}],
-                           expected_fail=expected_fail)
+        return _insufficient_order(name, m, str(required_order), expected_fail)
     mismatch = a.first_mismatch(b)
     if mismatch is None:
         return CheckReport(name, "exact-series", True, m)
@@ -380,13 +392,17 @@ def qk_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport
         specfun.q_twisted(1, specfun.TwistParams(1, 2, 0, 1), o_exact),
         PuiseuxSeries.zero(o_exact)))
 
-    q2 = specfun.q_twisted(2, specfun.TwistParams(1, 2, 0, 1), o_exact)
-    reports.append(check_series_equal(
-        "Q2-(mu=-1,lam=1)-low-coefficients",
-        PuiseuxSeries.from_terms([(Fraction(0), q2.coefficient_at(0)),
-                                  (Fraction(1, 2), q2.coefficient_at(Fraction(1, 2)))], 1),
-        PuiseuxSeries.from_terms([(Fraction(0), Fraction(1, 24)),
-                                  (Fraction(1, 2), Fraction(1))], 1)))
+    name = "Q2-(mu=-1,lam=1)-low-coefficients"
+    if o_exact <= Fraction(1, 2):  # the q^(1/2) coefficient is not known
+        reports.append(_insufficient_order(name, o_exact, "above 1/2"))
+    else:
+        q2 = specfun.q_twisted(2, specfun.TwistParams(1, 2, 0, 1), o_exact)
+        reports.append(check_series_equal(
+            name,
+            PuiseuxSeries.from_terms([(Fraction(0), q2.coefficient_at(0)),
+                                      (Fraction(1, 2), q2.coefficient_at(Fraction(1, 2)))], 1),
+            PuiseuxSeries.from_terms([(Fraction(0), Fraction(1, 24)),
+                                      (Fraction(1, 2), Fraction(1))], 1)))
 
     gamma = ModularMatrix(1, 0, 2, 1)
     member = is_in_gamma(gamma, 2, 1)

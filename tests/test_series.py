@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmodver import lattice, specfun
+from qmodver.modgroup import SectorPair
 from qmodver.series import (COMPLEX, EXACT, BeyondTruncationError,
-                            DomainMismatchError, DomainPromotionRequired,
+                            DomainMismatchError, DomainPromotionRequired, EvalResult,
                             InsufficientConvergence, NonInvertibleError,
                             NotInUpperHalfPlane, PuiseuxSeries, SeriesError)
 
@@ -342,3 +344,128 @@ def test_exact_coefficients_are_typechecked():
         PuiseuxSeries(1, 0, (1, 0.5), F(2), EXACT)
     with pytest.raises(SeriesError):
         PuiseuxSeries.from_terms([(0, 0.5)], 1)
+
+
+# -- the cached evaluate kernel against the Fraction-exponent reference -------
+
+def reference_evaluate(s, tau):
+    """`evaluate` as it was before the support cache: Fraction exponents per
+    term, the support step rescanned per call."""
+    import cmath
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} is not positive")
+    idx = [i for i, c in enumerate(s.coeffs) if c != 0]
+    g = 0
+    for a, b in zip(idx, idx[1:]):
+        g = math.gcd(g, b - a)
+    step = float(F(g, s.ramification) if len(idx) > 1 else F(1, s.ramification))
+    rho = math.exp(-2 * math.pi * tau.imag * step)
+    if rho >= 0.9:
+        raise InsufficientConvergence(f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
+    value = 0j
+    mags = []
+    last_mag = 0.0
+    for i, c in enumerate(s.coeffs):
+        if c != 0:
+            term = c * cmath.exp(2j * math.pi * tau * float(F(s.offset + i, s.ramification)))
+            value += term
+            last_mag = abs(term)
+            mags.append(last_mag)
+    tail = last_mag * rho / (1.0 - rho)
+    recent = mags[-5:]
+    reliable = all(x >= y for x, y in zip(recent, recent[1:]))
+    return EvalResult(value, tail, reliable)
+
+
+def outcome(fn, *args):
+    """repr of the result, or the type and message of the error raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+complex_coeffs = st.builds(complex, st.floats(-50, 50), st.floats(-50, 50))
+
+
+@st.composite
+def evaluation_series(draw):
+    """Dense, sparse, multi-grid and empty supports, exact or complex."""
+    kind = draw(st.sampled_from(["dense", "sparse", "multigrid", "empty", "builder"]))
+    D = draw(st.sampled_from([1, 2, 3, 8, 24]))
+    order = draw(st.sampled_from([F(3), F(7, 2), F(41, 8), F(12)]))
+    if kind == "builder":
+        name = draw(st.sampled_from(["eta", "theta2", "theta3", "E4", "char"]))
+        s = {"eta": lambda: specfun.dedekind_eta(order),
+             "theta2": lambda: specfun.jacobi_theta(2, order),
+             "theta3": lambda: specfun.jacobi_theta(3, order),
+             "E4": lambda: specfun.eisenstein(4, order),
+             "char": lambda: lattice.character(SectorPair(2, 1, 0), order).series}[name]()
+    elif kind == "empty":
+        s = PuiseuxSeries.zero(order)
+    else:
+        if kind == "dense":
+            exps = [F(k, D) for k in range(-D, int(order * D)) if D <= 8]
+        else:
+            top = int(order * D) - 1
+            exps = [F(k, D) for k in draw(st.lists(st.integers(-3 * D, top), max_size=6))]
+        if kind == "multigrid":
+            exps += [F(k, 5) for k in draw(st.lists(st.integers(-5, 14), max_size=4))]
+        s = PuiseuxSeries.from_terms([(e, draw(coeffs)) for e in exps], order)
+    if draw(st.booleans()):
+        return s.to_complex()
+    if draw(st.booleans()):
+        cs = tuple(draw(complex_coeffs) if c else 0j for c in s.coeffs)
+        return PuiseuxSeries(s.ramification, s.offset, cs, s.order, COMPLEX)
+    return s
+
+
+taus = st.builds(complex, st.floats(-2, 2), st.floats(0.02, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluation_series(), taus, st.booleans())
+def test_evaluate_is_bit_identical_to_fraction_reference(s, tau, s_image):
+    if s_image:
+        tau = -1 / tau
+    assert outcome(s.evaluate, tau) == outcome(reference_evaluate, s, tau)
+
+
+def test_evaluate_reference_sees_overflow_and_convergence_errors():
+    # the comparison above covers raised errors; pin that both kinds occur
+    big = PuiseuxSeries.from_terms([(F(-300), 1), (F(1, 3), F(2, 3))], 2)
+    assert outcome(big.evaluate, 2j).startswith("OverflowError")
+    assert outcome(big.evaluate, 2j) == outcome(reference_evaluate, big, 2j)
+    eta = specfun.dedekind_eta(5)
+    assert outcome(eta.evaluate, 0.01j).startswith("InsufficientConvergence")
+    assert outcome(eta.evaluate, 0.01j) == outcome(reference_evaluate, eta, 0.01j)
+
+
+@pytest.mark.parametrize("tau", [complex("nan"), complex(0, float("nan")),
+                                 complex(float("inf"), 1), complex(0, float("inf")),
+                                 complex(float("-inf"), -1)])
+def test_evaluate_rejects_non_finite_tau(tau):
+    with pytest.raises(NotInUpperHalfPlane, match="is not finite"):
+        specfun.dedekind_eta(5).to_complex().evaluate(tau)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: specfun.dedekind_eta(10),
+    lambda: specfun.jacobi_theta(2, F(61, 2)),
+    lambda: PuiseuxSeries.from_terms([(F(-1, 24), 2), (F(23, 24), F(-3, 7))], 5),
+    lambda: PuiseuxSeries.monomial(F(5), F(1, 8), 3),
+])
+def test_support_cache_changes_no_observable(build):
+    cold, warm = build(), build()
+    warm.evaluate(2j)  # fills the cache
+    assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
+    assert cold.to_json_dict() == warm.to_json_dict()
+    # a scan of the coefficients, as support_step did before the cache
+    idx = [i for i, c in enumerate(cold.coeffs) if c != 0]
+    gaps = [b - a for a, b in zip(idx, idx[1:])]
+    step = F(math.gcd(*gaps) if gaps else 1, cold.ramification)
+    assert warm.support_step() == step == build().support_step()
+    assert warm.invert().to_json_dict() == build().invert().to_json_dict() \
+        == dense_invert(build()).to_json_dict()
+    assert cold.to_complex().evaluate(1 + 2j) == warm.to_complex().evaluate(1 + 2j)

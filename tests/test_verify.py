@@ -1,14 +1,21 @@
 import cmath
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmodver import cli, lattice, specfun
 from qmodver.modgroup import S, T, ModularMatrix, SectorPair
 from qmodver.series import PuiseuxSeries
-from qmodver.verify import (DegenerateSectorError, TransformSpec,
+from qmodver.verify import (SUITE_NAMES, DegenerateSectorError, TransformSpec,
                             WrongDomainError, check_series_equal,
                             check_transform_numeric, closure_scan, run_suite)
 
@@ -228,3 +235,118 @@ def test_e2_defect_compared_with_predicted_value():
         assert abs(complex(re, im) - 1j / (2 * math.pi)) == pytest.approx(0, abs=1e-12)
     # one residual per sample point, each against the predicted value
     assert [d["tau"] for d in rep.details[:-1]] == [[0.0, 2.0], [0.0, 3.0]]
+
+
+class TestCliRobustness:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "transforms", "--tau", "nan,1"],
+        ["check", "--suite", "closure", "--tau", "0,inf"],
+        ["transform", "--gamma", "0,-1,1,0", "--lhs", "eta", "--rhs", "eta",
+         "--tau=-inf,2"],
+        ["transform", "--gamma", "0,-1,1,0", "--lhs", "eta", "--rhs", "eta",
+         "--tau", "0,2", "--multiplier", "1,nan"]])
+    def test_non_finite_tau_and_multiplier_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "re,im must be finite" in capsys.readouterr().err
+
+    def test_qk_suite_below_half_reports_insufficient_order(self, capsys):
+        assert cli.main(["check", "--suite", "qk", "--order", "1/3"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  [exact-series] Q2-(mu=-1,lam=1)-low-coefficients\n" in out
+        for order in ("1/3", "1/2"):
+            reports, _ = run_suite("qk", exact_order=F(order), numeric_order=400)
+            rep = next(r for r in reports if r.name == "Q2-(mu=-1,lam=1)-low-coefficients")
+            assert not rep.passed and rep.order_used == F(order)
+            assert rep.details == [{"error": "insufficient order", "have": order,
+                                    "need": "above 1/2"}]
+        reports, _ = run_suite("qk", exact_order=F(3, 4), numeric_order=400)
+        assert next(r for r in reports if r.name.startswith("Q2-(mu")).passed
+
+    @pytest.mark.parametrize("argv", [
+        # eta truncated at order 0 is 0, and the half-argument law divides by it
+        ["check", "--suite", "transforms", "--order", "0", "--tau", "0,1"],
+        # a weight beyond the float range
+        ["transform", "--gamma", "0,-1,1,0", "--weight", "1e400", "--lhs", "E4",
+         "--rhs", "E4", "--tau", "0,2"]], ids=["zero-division", "overflow"])
+    def test_arithmetic_errors_exit_3(self, capsys, argv):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "eisenstein", "--format", "json"],
+        ["expand", "--series", "E4", "--order", "3000"]], ids=["check", "expand"])
+    def test_closed_stdout_ends_without_traceback(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "qmodver.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_child_env())
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1)
+        assert err == ""
+
+
+def _child_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
+# -- the command grammar, fuzzed ----------------------------------------------
+
+_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "1/2", "7/3", "-5/6", "1e308",
+            "1e-300", "x", "", "1/0"]
+_PAIRS = ["0,1", "0,2", "1,2", "0.5,1.5", "0,-1", "1,0", "nan,1", "0,inf", "1e308,1",
+          "0,1e-300", "0,1e300", "1,", ",", "1,2,3", "0,1,1"]
+_MATRICES = ["1,0,0,1", "0,-1,1,0", "1,1,0,1", "1,0,2,1", "2,1,1,1", "1,2,3", "a,b,c,d"]
+_SERIES = ["eta", "theta1", "theta3", "theta5", "E2", "E4", "E3", "E0", "Q1", "Q0:0,1,0,1",
+           "Q2:1,2,0,1", "Q2:0,1,1,3", "Q2:0,1,0,1", "Q2:x", "char:0,1", "char:1,1",
+           "char:2,0", "char", "bogus"]
+_ORDERS = ["-1", "0", "1/3", "1/2", "1", "5/2", "8"]
+_BAD_ORDERS = ["nan", "inf", "-inf", "x", "", "1/0", "1e-300", "-5/6"]  # none above 8
+
+
+def _value(options, junk=_NUMBERS):
+    """Mostly well-formed values, a third of the time any number or junk."""
+    if not options:
+        return st.sampled_from(junk)
+    return st.one_of(st.sampled_from(options), st.sampled_from(options),
+                     st.sampled_from(junk))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["expand", "char", "check", "transform"]))
+    argv = [command, "--order", draw(_value(_ORDERS, _BAD_ORDERS))]
+    flags = {
+        "expand": [("--series", _value(_SERIES), True), ("--twist", _value(_PAIRS), False)],
+        "char": [("--pair", _value(_PAIRS), True)],
+        "check": [("--suite", st.sampled_from(list(SUITE_NAMES) + ["bogus"]), True),
+                  ("--tol", _value(["1e-8", "1e-3"]), False),
+                  ("--tau", _value(_PAIRS), False)],
+        "transform": [("--gamma", _value(_MATRICES), True), ("--lhs", _value(_SERIES), True),
+                      ("--rhs", _value(_SERIES), True), ("--tau", _value(_PAIRS), True),
+                      ("--weight", _value(["0", "1/2", "4"]), False),
+                      ("--multiplier", _value(_PAIRS), False),
+                      ("--tol", _value(["1e-8", "1e-3"]), False)],
+    }[command]
+    for flag, values, required in flags:
+        if required or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(_value(["text", "json"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_every_cli_run_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
