@@ -24,6 +24,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
+# the largest --order accepted; exact builds grow about quadratically in it
+MAX_ORDER = 10 ** 4
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -31,6 +33,13 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def parse_order(text: str) -> Fraction:
+    order = parse_fraction(text)
+    if order > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"order must be at most {MAX_ORDER}, got {text!r}")
+    return order
 
 
 def parse_tolerance(text: str) -> float:
@@ -100,6 +109,12 @@ def emit_series(series: PuiseuxSeries, fmt: str, extra: dict | None = None,
     print(f"# O(q^({series.order}))", file=out)
 
 
+def print_reports(reports, fmt: str):
+    """One line per report: its JSON object, or its summary line."""
+    for rep in reports:
+        print(json.dumps(rep.to_json_dict()) if fmt == "json" else rep.summary_line())
+
+
 def cmd_expand(args) -> int:
     series = build_series(args.series, args.order, args.twist)
     emit_series(series, args.format)
@@ -123,28 +138,19 @@ def cmd_check(args) -> int:
     reports, status = verify.run_suite(
         args.suite, exact_order=args.order, numeric_order=args.order,
         tol=args.tol, sample_points=points)
-    for rep in reports:
-        if args.format == "json":
-            print(json.dumps(rep.to_json_dict()))
-        else:
-            print(rep.summary_line())
+    print_reports(reports, args.format)
     return status
 
 
 def cmd_transform(args) -> int:
     a, b, c, d = parse_int_list(args.gamma, 4, "--gamma")
     gamma = ModularMatrix(a, b, c, d)
-    order = args.order if args.order is not None else Fraction(verify.DEFAULT_NUMERIC_ORDER)
-    lhs = build_series(args.lhs, order).to_complex()
-    rhs = build_series(args.rhs, order).to_complex()
-    mult = args.multiplier if args.multiplier is not None else 1.0 + 0j
-    spec = verify.TransformSpec(gamma, args.weight, mult, tuple(args.tau), args.tol)
+    lhs = build_series(args.lhs, args.order).to_complex()
+    rhs = build_series(args.rhs, args.order).to_complex()
+    spec = verify.TransformSpec(gamma, args.weight, args.multiplier, tuple(args.tau), args.tol)
     rep = verify.check_transform_numeric(
         f"transform-{args.lhs}-gamma{gamma.entries()}-{args.rhs}", lhs, rhs, spec)
-    if args.format == "json":
-        print(json.dumps(rep.to_json_dict()))
-    else:
-        print(rep.summary_line())
+    print_reports([rep], args.format)
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
@@ -158,20 +164,20 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True,
                    help="eta | theta1..theta4 | E<k> | Q<k>")
     p.add_argument("--twist", help="j,T,l,T1 for Q<k>")
-    p.add_argument("--order", type=parse_fraction, default=Fraction(20),
-                   help="truncation order NUM[/DEN]")
+    p.add_argument("--order", type=parse_order, default=Fraction(20),
+                   help=f"truncation order NUM[/DEN], at most {MAX_ORDER}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("char", help="supertrace character of a Z_2 sector pair")
     p.add_argument("--pair", required=True, help="sector exponents i,j")
-    p.add_argument("--order", type=parse_fraction, default=Fraction(20))
+    p.add_argument("--order", type=parse_order, default=Fraction(20))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
-    p.add_argument("--order", type=parse_fraction, default=None,
+    p.add_argument("--order", type=parse_order, default=None,
                    help="override the per-check build order")
     p.add_argument("--tol", type=parse_tolerance, default=None)
     p.add_argument("--tau", type=parse_complex_pair, action="append",
@@ -182,12 +188,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="test f(gamma tau) = mult (c tau+d)^w g(tau)")
     p.add_argument("--gamma", required=True, help="matrix entries a,b,c,d")
     p.add_argument("--weight", type=parse_fraction, default=Fraction(0))
-    p.add_argument("--multiplier", type=parse_complex_pair, default=None)
+    p.add_argument("--multiplier", type=parse_complex_pair, default=1.0 + 0j)
     p.add_argument("--lhs", required=True, help="series spec for f")
     p.add_argument("--rhs", required=True, help="series spec for g")
     p.add_argument("--tau", type=parse_complex_pair, action="append", required=True)
     p.add_argument("--tol", type=parse_tolerance, default=1e-8)
-    p.add_argument("--order", type=parse_fraction, default=None)
+    p.add_argument("--order", type=parse_order,
+                   default=Fraction(verify.DEFAULT_NUMERIC_ORDER))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_transform)
     return parser

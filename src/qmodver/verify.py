@@ -7,12 +7,12 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import lattice, specfun
 from ._record import Record
-from .modgroup import (IDENTITY, S, T, ModularMatrix, SectorPair, act_on_pair,
-                       is_in_gamma, mobius)
+from .modgroup import (S, T, ModularMatrix, SectorPair, act_on_pair, is_in_gamma,
+                       mobius, slash_factor)
 from .series import (EXACT, EvaluationError, PuiseuxSeries, SeriesError)
 
 DEFAULT_EXACT_ORDER = 30
@@ -90,12 +90,39 @@ class TransformSpec(NamedTuple):
     tolerance: float
 
 
+class _ExactRow(NamedTuple):
+    """One exact identity lhs() = rhs(), whose builders ask for `order`.
+
+    `need` is the coverage the identity requires: a least order, re-checked
+    by check_series_equal after the build, or "above x" when a side reads the
+    coefficient at q^x; None requires nothing.
+    """
+    name: str
+    order: Fraction
+    need: Fraction | int | str | None
+    lhs: Callable[[], PuiseuxSeries]
+    rhs: Callable[[], PuiseuxSeries]
+    expected_fail: bool = False
+
+
+def _given(value, default):
+    """A suite argument, or its default when the caller passed None."""
+    return default if value is None else value
+
+
 def _insufficient_order(name: str, have: Fraction, need: str,
                         expected_fail: bool = False) -> CheckReport:
     return CheckReport(name, "exact-series", False, have,
                        details=[{"error": "insufficient order",
                                  "have": str(have), "need": need}],
                        expected_fail=expected_fail)
+
+
+def _covers(order: Fraction, need) -> bool:
+    """Whether a build at `order` meets an `_ExactRow` coverage."""
+    if isinstance(need, str):
+        return order > Fraction(need.removeprefix("above "))
+    return need is None or order >= need
 
 
 def check_series_equal(name: str, a: PuiseuxSeries, b: PuiseuxSeries,
@@ -116,69 +143,69 @@ def check_series_equal(name: str, a: PuiseuxSeries, b: PuiseuxSeries,
                        expected_fail=expected_fail)
 
 
-def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
-                            spec: TransformSpec) -> CheckReport:
-    """Residuals of f(gamma tau) = multiplier * (c tau + d)^weight * g(tau)."""
-    order = min(f.order, g.order)
-    residuals = []
-    tails = []
+def _exact_rows(rows) -> list[CheckReport]:
+    """One report per row; a row whose order falls short of its coverage is
+    reported as insufficient before either side is built."""
+    reports = []
+    for name, order, need, lhs, rhs, expected_fail in rows:
+        if not _covers(order, need):
+            reports.append(_insufficient_order(name, order, str(need), expected_fail))
+        else:
+            recheck = None if isinstance(need, str) else need
+            reports.append(check_series_equal(name, lhs(), rhs(), recheck, expected_fail))
+    return reports
+
+
+def _numeric_law(name: str, order: Fraction, points, tol: float, residual) -> CheckReport:
+    """The numeric pass rule over the sample points.
+
+    `residual(tau)` returns (residual, tail bound, extra detail fields); the
+    law passes when every residual is below tol and every tail below tol/10.
+    """
     details = []
-    for tau in spec.sample_points:
+    for tau in points:
         tau = complex(tau)
-        gt = mobius(spec.gamma, tau)
-        lhs = f.evaluate(gt)
-        rhs = g.evaluate(tau)
-        auto = cmath.exp(float(spec.weight) * cmath.log(spec.gamma.c * tau + spec.gamma.d)) \
-            if spec.weight != 0 else 1.0 + 0j
-        factor = spec.multiplier * auto
-        res = abs(lhs.value - factor * rhs.value)
-        tail = lhs.tail_estimate + abs(factor) * rhs.tail_estimate
-        residuals.append(res)
-        tails.append(tail)
-        details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail,
-                        "tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
-    max_res = max(residuals)
-    max_tail = max(tails)
-    passed = max_res < spec.tolerance and max_tail < spec.tolerance / 10
+        res, tail, extra = residual(tau)
+        details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail, **extra})
+    max_res = max(d["residual"] for d in details)
+    max_tail = max(d["tail"] for d in details)
+    passed = max_res < tol and max_tail < tol / 10
     return CheckReport(name, "numeric", passed, order, max_res, max_tail, details)
 
 
-def _numeric_report(name, order, residual_tails, tolerance) -> CheckReport:
-    # residual_tails: list of (tau, residual, tail)
-    max_res = max(r for _, r, _ in residual_tails)
-    max_tail = max(t for _, _, t in residual_tails)
-    details = [{"tau": [complex(tau).real, complex(tau).imag],
-                "residual": r, "tail": t} for tau, r, t in residual_tails]
-    passed = max_res < tolerance and max_tail < tolerance / 10
-    return CheckReport(name, "numeric", passed, Fraction(order), max_res, max_tail, details)
+def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
+                            spec: TransformSpec) -> CheckReport:
+    """Residuals of f(gamma tau) = multiplier * (c tau + d)^weight * g(tau)."""
+    def residual(tau):
+        lhs = f.evaluate(mobius(spec.gamma, tau))
+        rhs = g.evaluate(tau)
+        factor = spec.multiplier * slash_factor(-spec.weight, spec.gamma, tau)
+        return (abs(lhs.value - factor * rhs.value),
+                lhs.tail_estimate + abs(factor) * rhs.tail_estimate,
+                {"tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
+
+    return _numeric_law(name, min(f.order, g.order), spec.sample_points,
+                        spec.tolerance, residual)
 
 
 def closure_scan(sector: SectorPair, gamma: ModularMatrix, sample_points,
                  tolerance: float, order=DEFAULT_NUMERIC_ORDER):
     """Map the sector through the SL(2,Z) action and fit the connecting scalar.
 
-    The scalar is the ratio at the first sample point; the report verifies the
-    same scalar fits every remaining point (constancy in tau).
-    Returns (target sector, scalar, report).
+    The scalar is the ratio at the first sample point; the report checks the
+    weight-0 law with that scalar as multiplier at every point (constancy in
+    tau).  Returns (target sector, scalar, report).
     """
     target = act_on_pair(sector, gamma)
     f = lattice.character(sector, order).series.to_complex()
     g = lattice.character(target, order).series.to_complex()
     if g.is_zero():
         raise DegenerateSectorError(f"target sector {target} has identically zero character")
-    name = f"closure-({sector.i},{sector.j})-gamma{gamma.entries()}"
-    pts = [complex(t) for t in sample_points]
-    vals = []
-    tails = []
-    for tau in pts:
-        lv = f.evaluate(mobius(gamma, tau))
-        rv = g.evaluate(tau)
-        vals.append((lv.value, rv.value))
-        tails.append(lv.tail_estimate + rv.tail_estimate)
-    scalar = vals[0][0] / vals[0][1]
-    rts = [(tau, abs(lv - scalar * rv), tl)
-           for tau, (lv, rv), tl in zip(pts, vals, tails)]
-    report = _numeric_report(name, order, rts, tolerance)
+    points = tuple(complex(t) for t in sample_points)
+    scalar = f.evaluate(mobius(gamma, points[0])).value / g.evaluate(points[0]).value
+    report = check_transform_numeric(
+        f"closure-({sector.i},{sector.j})-gamma{gamma.entries()}", f, g,
+        TransformSpec(gamma, Fraction(0), scalar, points, tolerance))
     report.details.append({"target": [target.i, target.j],
                            "scalar": [scalar.real, scalar.imag]})
     return target, scalar, report
@@ -187,102 +214,81 @@ def closure_scan(sector: SectorPair, gamma: ModularMatrix, sample_points,
 # ---------------------------------------------------------------------------
 # suites
 
-def _eta_s_residuals(eta: PuiseuxSeries, points):
-    """Residuals of eta(-1/tau) = (-i tau)^{1/2} eta(tau), principal branch."""
-    out = []
-    for tau in points:
-        tau = complex(tau)
-        lhs = eta.evaluate(-1 / tau)
-        rhs = eta.evaluate(tau)
-        factor = cmath.sqrt(-1j * tau)
-        out.append((tau, abs(lhs.value - factor * rhs.value),
-                    lhs.tail_estimate + abs(factor) * rhs.tail_estimate))
-    return out
-
-
 def identities_suite(exact_order=None) -> list[CheckReport]:
-    reports = []
-    o_long = Fraction(exact_order) if exact_order is not None else Fraction(52)
-    o_std = Fraction(exact_order) if exact_order is not None else Fraction(34)
-    o_deriv = Fraction(exact_order) if exact_order is not None else Fraction(24)
-
-    zero = PuiseuxSeries.zero(o_long)
-    reports.append(check_series_equal(
-        "theta1-vanishes", specfun.jacobi_theta(1, o_long), zero, required_order=50))
-    reports.append(check_series_equal(
-        "character-(0,0)-vanishes",
-        lattice.character(SectorPair(2, 0, 0), o_long).series, zero, required_order=50))
-
-    for sec in ((0, 1), (1, 1), (1, 0)):
-        sp = SectorPair(2, *sec)
-        reports.append(check_series_equal(
-            f"character-({sec[0]},{sec[1]})-eta-theta",
-            lattice.character(sp, o_std).series,
-            lattice.eta_theta_form(sp, o_std), required_order=30))
-
+    o_long = Fraction(_given(exact_order, 52))
+    o_std = Fraction(_given(exact_order, 34))
+    o_deriv = Fraction(_given(exact_order, 24))
     # theta-eta relations; tau/2 pieces need eta built to twice the target order
     eta = specfun.dedekind_eta(o_std)
     eta2 = specfun.dedekind_eta(2 * o_std)
     eta_double = eta2.rescale(2).truncate(2 * o_std)
     eta_half = eta2.rescale(Fraction(1, 2))
-    reports.append(check_series_equal(
-        "theta2-eta-relation", specfun.jacobi_theta(2, o_std),
-        (eta_double ** 2 * eta.invert()).scale(2), required_order=30))
-    reports.append(check_series_equal(
-        "theta3-eta-relation", specfun.jacobi_theta(3, o_std),
-        eta2 ** 5 * (eta_double ** 2 * eta_half ** 2).invert(), required_order=30))
-    reports.append(check_series_equal(
-        "theta4-eta-relation", specfun.jacobi_theta(4, o_std),
-        eta_half ** 2 * eta.invert(), required_order=30))
+    sectors = {sec: SectorPair(2, *sec) for sec in ((0, 0), (0, 1), (1, 1), (1, 0))}
 
-    for sec in ((0, 0), (0, 1), (1, 1), (1, 0)):
-        sp = SectorPair(2, *sec)
-        reports.append(check_series_equal(
-            f"l0-insertion-({sec[0]},{sec[1]})",
-            lattice.l0_inserted_trace(sp, o_deriv),
-            lattice.character(sp, o_deriv).series.q_d_dq(), required_order=20))
-
+    rows = [
+        _ExactRow("theta1-vanishes", o_long, 50, lambda: specfun.jacobi_theta(1, o_long),
+                  lambda: PuiseuxSeries.zero(o_long)),
+        _ExactRow("character-(0,0)-vanishes", o_long, 50,
+                  lambda: lattice.character(sectors[0, 0], o_long).series,
+                  lambda: PuiseuxSeries.zero(o_long)),
+    ]
+    rows += [_ExactRow(f"character-({i},{j})-eta-theta", o_std, 30,
+                       lambda sp=sectors[i, j]: lattice.character(sp, o_std).series,
+                       lambda sp=sectors[i, j]: lattice.eta_theta_form(sp, o_std))
+             for i, j in ((0, 1), (1, 1), (1, 0))]
+    rows += [
+        _ExactRow("theta2-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(2, o_std),
+                  lambda: (eta_double ** 2 * eta.invert()).scale(2)),
+        _ExactRow("theta3-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(3, o_std),
+                  lambda: eta2 ** 5 * (eta_double ** 2 * eta_half ** 2).invert()),
+        _ExactRow("theta4-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(4, o_std),
+                  lambda: eta_half ** 2 * eta.invert()),
+    ]
+    rows += [_ExactRow(f"l0-insertion-({i},{j})", o_deriv, 20,
+                       lambda sp=sp: lattice.l0_inserted_trace(sp, o_deriv),
+                       lambda sp=sp: lattice.character(sp, o_deriv).series.q_d_dq())
+             for (i, j), sp in sectors.items()]
     # paper-literal variant of the (sigma,1) oscillator factor: prod(1+q^n)
     # instead of the partition generating function; documented discrepancy.
-    sp = SectorPair(2, 1, 0)
-    literal = (specfun.distinct_parts_product(o_std + 1)
-               * lattice.lattice_sum(sp, o_std + 1)).shifted(Fraction(1, 12)).truncate(o_std)
-    reports.append(check_series_equal(
-        "character-(1,0)-distinct-parts-variant (expected fail)",
-        literal, lattice.eta_theta_form(sp, o_std),
-        required_order=30, expected_fail=True))
-    return reports
+    rows.append(_ExactRow(
+        "character-(1,0)-distinct-parts-variant (expected fail)", o_std, 30,
+        lambda: (specfun.distinct_parts_product(o_std + 1)
+                 * lattice.lattice_sum(sectors[1, 0], o_std + 1)
+                 ).shifted(Fraction(1, 12)).truncate(o_std),
+        lambda: lattice.eta_theta_form(sectors[1, 0], o_std), expected_fail=True))
+    return _exact_rows(rows)
 
 
 def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[CheckReport]:
-    order = Fraction(numeric_order) if numeric_order is not None else Fraction(DEFAULT_NUMERIC_ORDER)
-    points = tuple(sample_points) if sample_points else (2j, 1 + 2j)
-    reports = []
+    order = Fraction(_given(numeric_order, DEFAULT_NUMERIC_ORDER))
+    points = tuple(sample_points or (2j, 1 + 2j))
+    t_tol = _given(tol, 1e-10)
     eta = specfun.dedekind_eta(order).to_complex()
-    t_tol = tol if tol is not None else 1e-10
-    reports.append(check_transform_numeric(
-        "eta-T-law", eta, eta,
-        TransformSpec(T, Fraction(0), cmath.exp(1j * math.pi / 12), points, t_tol)))
-    reports.append(_numeric_report("eta-S-law", order,
-                                   _eta_s_residuals(eta, points), t_tol))
+    reports = [
+        check_transform_numeric("eta-T-law", eta, eta, TransformSpec(
+            T, Fraction(0), cmath.exp(1j * math.pi / 12), points, t_tol)),
+        # eta(-1/tau) = (-i tau)^{1/2} eta(tau) = e^{-i pi/4} tau^{1/2} eta(tau)
+        check_transform_numeric("eta-S-law", eta, eta, TransformSpec(
+            S, Fraction(1, 2), cmath.exp(-1j * math.pi / 4), points, t_tol)),
+    ]
 
     # half-argument law eta((tau+1)/2) = eta(tau)^3 / (eta(tau/2) eta(2 tau)),
     # checked at series level: the q-expansion of the left side (phase stripped)
     # against the right side evaluated pointwise.  The pointwise principal
     # branch carries the extra root of unity e^{i pi/24}.
-    h_tol = tol if tol is not None else 1e-9
     half = specfun.eta_half_period_series(order).to_complex()
-    rts = []
-    for tau in (2j,):
-        tau = complex(tau)
+
+    def half_residual(tau):
         lhs = half.evaluate(tau)
         e1 = eta.evaluate(tau)
         e2 = eta.evaluate(tau / 2)
         e3 = eta.evaluate(2 * tau)
         rhs = e1.value ** 3 / (e2.value * e3.value)
         tail = lhs.tail_estimate + e1.tail_estimate + e2.tail_estimate + e3.tail_estimate
-        rts.append((tau, abs(lhs.value - rhs), tail))
-    rep = _numeric_report("eta-half-argument-law", order, rts, h_tol)
+        return abs(lhs.value - rhs), tail, {}
+
+    rep = _numeric_law("eta-half-argument-law", order, (2j,), _given(tol, 1e-9),
+                       half_residual)
     rep.details.append({"note": "left side is the q-expansion of "
                                 "e^{-i pi/24} eta((tau+1)/2); the pointwise "
                                 "principal branch carries that extra phase"})
@@ -291,9 +297,9 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
 
 
 def closure_suite(numeric_order=None, tol=None, sample_points=None) -> list[CheckReport]:
-    order = Fraction(numeric_order) if numeric_order is not None else Fraction(DEFAULT_NUMERIC_ORDER)
-    tolerance = tol if tol is not None else DEFAULT_TOLERANCE
-    points = tuple(sample_points) if sample_points else DEFAULT_SAMPLE_POINTS
+    order = Fraction(_given(numeric_order, DEFAULT_NUMERIC_ORDER))
+    tolerance = _given(tol, DEFAULT_TOLERANCE)
+    points = tuple(sample_points or DEFAULT_SAMPLE_POINTS)
     reports = []
 
     # S-closure of the supertrace vector at weight 0
@@ -319,16 +325,16 @@ def closure_suite(numeric_order=None, tol=None, sample_points=None) -> list[Chec
 
 
 def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport]:
-    o_exact = Fraction(exact_order) if exact_order is not None else Fraction(DEFAULT_EXACT_ORDER)
-    order = Fraction(numeric_order) if numeric_order is not None else Fraction(DEFAULT_NUMERIC_ORDER)
-    tolerance = tol if tol is not None else DEFAULT_TOLERANCE
-    reports = []
-    for k in (2, 4, 6):
-        ek = specfun.eisenstein(k, o_exact)
-        expected = -specfun.bernoulli_number(k) / math.factorial(k)
-        reports.append(check_series_equal(
-            f"E{k}-constant-term", PuiseuxSeries.monomial(ek.coefficient_at(0), 0, o_exact),
-            PuiseuxSeries.monomial(expected, 0, o_exact)))
+    o_exact = Fraction(_given(exact_order, DEFAULT_EXACT_ORDER))
+    order = Fraction(_given(numeric_order, DEFAULT_NUMERIC_ORDER))
+    tolerance = _given(tol, DEFAULT_TOLERANCE)
+    reports = _exact_rows(_ExactRow(
+        f"E{k}-constant-term", o_exact, "above 0",
+        lambda k=k: PuiseuxSeries.monomial(
+            specfun.eisenstein(k, o_exact).coefficient_at(0), 0, o_exact),
+        lambda k=k: PuiseuxSeries.monomial(
+            -specfun.bernoulli_number(k) / math.factorial(k), 0, o_exact))
+        for k in (2, 4, 6))
     for k in (4, 6):
         ek = specfun.eisenstein(k, order).to_complex()
         reports.append(check_transform_numeric(
@@ -338,17 +344,18 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
     # E2 quasi-modularity: (E2(-1/tau) - tau^2 E2(tau))/tau against its predicted value
     predicted = 1j / (2 * math.pi)
     e2 = specfun.eisenstein(2, order).to_complex()
-    rts = []
     measured = []
-    for tau in (2j, 3j):
-        tau = complex(tau)
+
+    def defect_residual(tau):
         lv = e2.evaluate(-1 / tau)
         rv = e2.evaluate(tau)
         const = (lv.value - tau ** 2 * rv.value) / tau
         measured.append([const.real, const.imag])
         tail = (lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau)
-        rts.append((tau, abs(const - predicted), tail))
-    rep = _numeric_report("E2-S-defect-constancy", order, rts, tolerance)
+        return abs(const - predicted), tail, {}
+
+    rep = _numeric_law("E2-S-defect-constancy", order, (2j, 3j), tolerance,
+                       defect_residual)
     rep.details.append({"predicted_defect_over_tau": [predicted.real, predicted.imag],
                         "measured_defect_over_tau": measured,
                         "note": "E2 = -E2_classical/12 and E2_classical(-1/tau) = "
@@ -359,57 +366,51 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
 
 
 def qk_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport]:
-    o_exact = Fraction(exact_order) if exact_order is not None else Fraction(DEFAULT_EXACT_ORDER)
-    o_num = Fraction(numeric_order) if numeric_order is not None else Fraction(400)
-    tolerance = tol if tol is not None else 1e-6
-    reports = []
+    o_exact = Fraction(_given(exact_order, DEFAULT_EXACT_ORDER))
+    o_num = Fraction(_given(numeric_order, 400))
+    tolerance = _given(tol, 1e-6)
+    mu_lam = specfun.TwistParams(1, 2, 0, 1)  # mu = -1, lambda = 1
+    low = (Fraction(0), Fraction(1, 2))
 
-    tw_half = specfun.TwistParams(0, 1, 1, 2)
-    reports.append(check_series_equal(
-        "Q0-is-minus-one", specfun.q_twisted(0, tw_half, o_exact),
-        PuiseuxSeries.monomial(Fraction(-1), 0, o_exact)))
+    def q2_low_coefficients():
+        q2 = specfun.q_twisted(2, mu_lam, o_exact)
+        return PuiseuxSeries.from_terms([(e, q2.coefficient_at(e)) for e in low], 1)
 
-    # tau -> tau + T periodicity, exact at series level
-    ok = True
-    detail = []
-    for k in range(5):
-        for T_ord in (1, 2):
-            for T1_ord in (1, 2):
-                for j in range(T_ord):
-                    for l in range(T1_ord):
-                        tw = specfun.TwistParams(j, T_ord, l, T1_ord)
-                        if k >= 1 and tw.trivial:
-                            continue
-                        qk = specfun.q_twisted(k, tw, o_exact)
-                        if not qk.shift_tau(T_ord).equals(qk):
-                            ok = False
-                            detail.append({"k": k, "twist": [j, T_ord, l, T1_ord]})
-    reports.append(CheckReport("Qk-tau-periodicity", "exact-series", ok, o_exact,
-                               details=detail))
+    reports = _exact_rows([
+        _ExactRow("Q0-is-minus-one", o_exact, "above 0",
+                  lambda: specfun.q_twisted(0, specfun.TwistParams(0, 1, 1, 2), o_exact),
+                  lambda: PuiseuxSeries.monomial(Fraction(-1), 0, o_exact)),
+        _ExactRow("Q1-(mu=-1,lam=1)-vanishes", o_exact, None,
+                  lambda: specfun.q_twisted(1, mu_lam, o_exact),
+                  lambda: PuiseuxSeries.zero(o_exact)),
+        _ExactRow("Q2-(mu=-1,lam=1)-low-coefficients", o_exact, "above 1/2",
+                  q2_low_coefficients,
+                  lambda: PuiseuxSeries.from_terms(zip(low, (Fraction(1, 24), 1)), 1)),
+    ])
 
-    reports.append(check_series_equal(
-        "Q1-(mu=-1,lam=1)-vanishes",
-        specfun.q_twisted(1, specfun.TwistParams(1, 2, 0, 1), o_exact),
-        PuiseuxSeries.zero(o_exact)))
-
-    name = "Q2-(mu=-1,lam=1)-low-coefficients"
-    if o_exact <= Fraction(1, 2):  # the q^(1/2) coefficient is not known
-        reports.append(_insufficient_order(name, o_exact, "above 1/2"))
+    # tau -> tau + T periodicity, exact at series level; Q0 = -1 needs order above 0
+    name = "Qk-tau-periodicity"
+    if not _covers(o_exact, "above 0"):
+        reports.append(_insufficient_order(name, o_exact, "above 0"))
     else:
-        q2 = specfun.q_twisted(2, specfun.TwistParams(1, 2, 0, 1), o_exact)
-        reports.append(check_series_equal(
-            name,
-            PuiseuxSeries.from_terms([(Fraction(0), q2.coefficient_at(0)),
-                                      (Fraction(1, 2), q2.coefficient_at(Fraction(1, 2)))], 1),
-            PuiseuxSeries.from_terms([(Fraction(0), Fraction(1, 24)),
-                                      (Fraction(1, 2), Fraction(1))], 1)))
+        twists = [specfun.TwistParams(j, T_ord, l, T1_ord) for T_ord in (1, 2)
+                  for T1_ord in (1, 2) for j in range(T_ord) for l in range(T1_ord)]
+        detail = []
+        for k in range(5):
+            for tw in twists:
+                if k >= 1 and tw.trivial:
+                    continue
+                qk = specfun.q_twisted(k, tw, o_exact)
+                if not qk.shift_tau(tw.T).equals(qk):
+                    detail.append({"k": k, "twist": [tw.j, tw.T, tw.l, tw.T1]})
+        reports.append(CheckReport(name, "exact-series", not detail, o_exact, details=detail))
 
     gamma = ModularMatrix(1, 0, 2, 1)
     member = is_in_gamma(gamma, 2, 1)
     reports.append(CheckReport("Q2-gamma-in-Gamma(2,1)", "exact-series", member,
                                Fraction(0), details=[{"gamma": list(gamma.entries())}]))
     if member:
-        q2n = specfun.q_twisted(2, specfun.TwistParams(1, 2, 0, 1), o_num).to_complex()
+        q2n = specfun.q_twisted(2, mu_lam, o_num).to_complex()
         reports.append(check_transform_numeric(
             "Q2-weight-2-modularity", q2n, q2n,
             TransformSpec(gamma, Fraction(2), 1.0 + 0j, (1j,), tolerance)))

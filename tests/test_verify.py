@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmodver import cli, lattice, specfun
-from qmodver.modgroup import S, T, ModularMatrix, SectorPair
+from qmodver.modgroup import S, T, ModularMatrix, SectorPair, mobius
 from qmodver.series import PuiseuxSeries
-from qmodver.verify import (SUITE_NAMES, DegenerateSectorError, TransformSpec,
-                            WrongDomainError, check_series_equal,
+from qmodver.verify import (SUITE_NAMES, CheckReport, DegenerateSectorError,
+                            TransformSpec, WrongDomainError, check_series_equal,
                             check_transform_numeric, closure_scan, run_suite)
 
 
@@ -71,6 +72,57 @@ class TestCheckTransformNumeric:
         assert not rep.passed and rep.max_residual > 1e-3
 
 
+def reference_transform_numeric(name, f, g, spec):
+    """`check_transform_numeric` as it was with its own residual loop, pass
+    rule and inline automorphy factor (c tau + d)^weight."""
+    order = min(f.order, g.order)
+    residuals, tails, details = [], [], []
+    for tau in spec.sample_points:
+        tau = complex(tau)
+        lhs = f.evaluate(mobius(spec.gamma, tau))
+        rhs = g.evaluate(tau)
+        auto = cmath.exp(float(spec.weight) * cmath.log(spec.gamma.c * tau + spec.gamma.d)) \
+            if spec.weight != 0 else 1.0 + 0j
+        factor = spec.multiplier * auto
+        res = abs(lhs.value - factor * rhs.value)
+        tail = lhs.tail_estimate + abs(factor) * rhs.tail_estimate
+        residuals.append(res)
+        tails.append(tail)
+        details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail,
+                        "tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
+    passed = max(residuals) < spec.tolerance and max(tails) < spec.tolerance / 10
+    return CheckReport(name, "numeric", passed, order, max(residuals), max(tails), details)
+
+
+_LAW_SERIES = {"eta": specfun.dedekind_eta(40).to_complex(),
+               "E4": specfun.eisenstein(4, 40).to_complex(),
+               "char": lattice.character(SectorPair(2, 0, 1), 40).series.to_complex()}
+_taus = st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.8, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.sampled_from(sorted(_LAW_SERIES)), g=st.sampled_from(sorted(_LAW_SERIES)),
+       gamma=st.sampled_from([S, T, ModularMatrix(1, 0, 2, 1), ModularMatrix(1, 0, 3, 1)]),
+       weight=st.sampled_from([F(0), F(1, 2), F(2), F(4), F(6)]),
+       multiplier=st.sampled_from([1 + 0j, cmath.exp(-1j * math.pi / 4), 0.5 - 2j]),
+       points=st.lists(_taus, min_size=1, max_size=3))
+def test_transform_numeric_matches_inline_factor_reference(f, g, gamma, weight,
+                                                           multiplier, points):
+    spec = TransformSpec(gamma, weight, multiplier, tuple(points), 1e-8)
+    args = (f"{f}-{g}", _LAW_SERIES[f], _LAW_SERIES[g], spec)
+    try:
+        ref = reference_transform_numeric(*args)
+    except Exception as exc:  # e.g. slow convergence at a gamma image
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            check_transform_numeric(*args)
+        return
+    got = check_transform_numeric(*args)
+    assert repr(got.max_residual) == repr(ref.max_residual)
+    assert repr(got.tail_estimate) == repr(ref.tail_estimate)
+    assert repr(got.details) == repr(ref.details)
+    assert (got.passed, got.order_used) == (ref.passed, ref.order_used)
+
+
 class TestClosureScan:
     def test_s_scan_from_untwisted(self):
         target, scalar, rep = closure_scan(
@@ -91,6 +143,20 @@ class TestClosureScan:
         assert target == SectorPair(2, 0, 1)
         assert abs(scalar - cmath.exp(1j * math.pi / 6)) < 1e-8
         assert rep.passed
+
+    def test_tail_includes_the_scalar_modulus(self):
+        # at order 2 and a point near the real axis the fitted scalar is off
+        # unit modulus, so leaving |scalar| out would change the tail
+        sector, points = SectorPair(2, 0, 1), (0.2 + 0.45j, 2j)
+        target, scalar, rep = closure_scan(sector, S, points, 1e-8, order=2)
+        f = lattice.character(sector, 2).series.to_complex()
+        g = lattice.character(target, 2).series.to_complex()
+        assert abs(abs(scalar) - 1) > 1e-3
+        for tau, detail in zip(points, rep.details):
+            lhs, rhs = f.evaluate(mobius(S, tau)), g.evaluate(tau)
+            assert detail["tail"] == lhs.tail_estimate + abs(scalar) * rhs.tail_estimate
+            assert detail["tail"] != lhs.tail_estimate + rhs.tail_estimate
+        assert rep.tail_estimate == max(d["tail"] for d in rep.details[:-1])
 
     def test_degenerate_target(self):
         # (0,0) is fixed by T and its character vanishes
@@ -114,6 +180,38 @@ class TestRunSuite:
         assert status == 1
         assert any(d.get("error") == "insufficient order"
                    for r in reports for d in r.details if isinstance(d, dict))
+
+    @pytest.mark.parametrize("suite", ["identities", "eisenstein", "qk"])
+    def test_order_zero_reports_each_exact_check(self, capsys, suite):
+        default = {r.name for r in run_suite(suite)[0] if r.kind == "exact-series"}
+        assert cli.main(["check", "--suite", suite, "--order", "0", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        docs = [json.loads(line) for line in out.splitlines()]
+        exact = {d["name"]: d for d in docs if d["kind"] == "exact-series"}
+        assert set(exact) == default
+        short = {name for name, d in exact.items()
+                 if d["details"][:1] and d["details"][0].get("error") == "insufficient order"}
+        # Q1 vanishing and the Gamma(2,1) membership need no coefficient
+        assert default - short <= {"Q1-(mu=-1,lam=1)-vanishes", "Q2-gamma-in-Gamma(2,1)"}
+        for name in short:
+            assert exact[name]["details"][0]["have"] == "0"
+            assert not exact[name]["passed"]
+
+    def test_order_zero_all_suites(self, capsys):
+        # eta truncated at order 0 is 0, so transforms and closure abort
+        # (exit 3); the exact suites still report every check
+        assert cli.main(["check", "--suite", "all", "--order", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert "ABORT [numeric] transforms-suite" in lines
+        assert "ABORT [numeric] closure-suite" in lines
+        for name in ("theta1-vanishes", "E2-constant-term", "Q0-is-minus-one"):
+            assert f"FAIL  [exact-series] {name}" in lines
+        reports, status = run_suite("all", exact_order=0)
+        assert status == 1
+        assert [r.name for r in reports] == [r.name for r in run_suite("all")[0]]
 
     def test_all_passes(self):
         reports, status = run_suite("all")
@@ -208,6 +306,18 @@ class TestCliFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "tolerance must be finite and > 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--series", "eta"], ["char", "--pair", "0,1"], ["check", "--suite", "qk"],
+        ["transform", "--gamma", "1,1,0,1", "--lhs", "eta", "--rhs", "eta", "--tau", "0,2"]],
+        ids=["expand", "char", "check", "transform"])
+    @pytest.mark.parametrize("order", ["10001", "1e308", "20001/2"])
+    def test_order_above_the_cap_is_a_usage_error(self, capsys, argv, order):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--order", order])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"order must be at most {cli.MAX_ORDER}" in err
 
     def test_ignored_flag_note_on_stderr(self, capsys):
         assert cli.main(["check", "--suite", "eisenstein"]) == 0
@@ -305,7 +415,8 @@ _SERIES = ["eta", "theta1", "theta3", "theta5", "E2", "E4", "E3", "E0", "Q1", "Q
            "Q2:1,2,0,1", "Q2:0,1,1,3", "Q2:0,1,0,1", "Q2:x", "char:0,1", "char:1,1",
            "char:2,0", "char", "bogus"]
 _ORDERS = ["-1", "0", "1/3", "1/2", "1", "5/2", "8"]
-_BAD_ORDERS = ["nan", "inf", "-inf", "x", "", "1/0", "1e-300", "-5/6"]  # none above 8
+# above cli.MAX_ORDER only "10001" and "1e308", which must be rejected unbuilt
+_BAD_ORDERS = ["nan", "inf", "-inf", "x", "", "1/0", "1e-300", "-5/6", "10001", "1e308"]
 
 
 def _value(options, junk=_NUMBERS):
