@@ -1,10 +1,10 @@
 """Exact q-series arithmetic and modular identity verification for the
 supertrace characters of the rank-1 lattice vertex operator superalgebra."""
 
-from .series import (COMPLEX, EXACT, BeyondTruncationError, DomainMismatchError,
-                     DomainPromotionRequired, EvalResult, EvaluationError,
-                     InsufficientConvergence, NonInvertibleError,
-                     NotInUpperHalfPlane, PuiseuxSeries, SeriesError)
+from .series import (COMPLEX, EXACT, BeyondTruncationError, DomainPromotionRequired,
+                     EvalResult, EvaluationError, InsufficientConvergence,
+                     NonInvertibleError, NotInUpperHalfPlane, PuiseuxSeries,
+                     SeriesError, WrongDomainError)
 from .specfun import (InvalidTwistError, TwistParams, bernoulli_number,
                       bernoulli_poly, dedekind_eta, distinct_parts_product,
                       divisor_sigma, eisenstein, jacobi_theta, partition_gf,

@@ -145,8 +145,8 @@ def cmd_check(args) -> int:
 def cmd_transform(args) -> int:
     a, b, c, d = parse_int_list(args.gamma, 4, "--gamma")
     gamma = ModularMatrix(a, b, c, d)
-    lhs = build_series(args.lhs, args.order).to_complex()
-    rhs = build_series(args.rhs, args.order).to_complex()
+    lhs = build_series(args.lhs, args.order)
+    rhs = build_series(args.rhs, args.order)
     spec = verify.TransformSpec(gamma, args.weight, args.multiplier, tuple(args.tau), args.tol)
     rep = verify.check_transform_numeric(
         f"transform-{args.lhs}-gamma{gamma.entries()}-{args.rhs}", lhs, rhs, spec)

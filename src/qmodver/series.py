@@ -1,4 +1,4 @@
-"""Truncated Laurent-Puiseux series in q with exact rational or complex coefficients.
+"""Truncated Laurent-Puiseux series in q with exact rational coefficients.
 
 A series lives on the exponent grid (offset + i)/ramification, i >= 0, and is
 known modulo q^order: every retained exponent is strictly below `order`, and
@@ -7,16 +7,21 @@ global truncation.  All values are immutable and all operations are pure.
 
 Exact-domain coefficients are canonical: an `int` when the value is integral,
 a `fractions.Fraction` otherwise (every operation returns canonical
-coefficients and accepts any mix of the two).  Complex-domain coefficients are
-python `complex` with finite components.
+coefficients and accepts any mix of the two).
 
-The exact kernels work on integers.  `__mul__` writes each operand once as
-integer numerators over one common denominator (the lcm of its coefficient
-denominators, 1 for eta, theta, partitions and the characters) and convolves
-plain ints on integer slot indices of a common grid; `invert` runs its
-triangular recurrence in integers for any leading numerator; `from_slots`
-is the one constructor that sums (slot, value) pairs and builds each output
-coefficient once.
+Complex-domain series (python `complex` coefficients with finite components)
+are evaluation-only: they can be built, serialized, read, regridded
+(`truncate`, `rescale`, `shifted`) and evaluated, and every arithmetic or
+comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
+series directly and returns, bit for bit, what their `to_complex()` returns.
+
+The exact kernels work on integers and never convert a coefficient to
+float.  `__mul__` writes each operand once as integer numerators over one
+common denominator (the lcm of its coefficient denominators, 1 for eta,
+theta, partitions and the characters) and convolves plain ints on integer
+slot indices of a common grid; `invert` runs its triangular recurrence in
+integers for any leading numerator; `from_slots` is the one constructor that
+sums (slot, value) pairs and builds each output coefficient once.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ class SeriesError(Exception):
     """Base class for series construction and arithmetic failures."""
 
 
-class DomainMismatchError(SeriesError):
-    """Binary operation on one exact and one complex series; promote explicitly."""
+class WrongDomainError(SeriesError):
+    """Arithmetic or comparison applied to an evaluation-only complex series."""
 
 
 class DomainPromotionRequired(SeriesError):
@@ -117,6 +122,14 @@ def _over_common_den(pairs: list) -> tuple[int, list]:
     return d, [(k, c.numerator * (d // c.denominator)) for k, c in pairs]
 
 
+def _require_exact(*series: "PuiseuxSeries"):
+    for s in series:
+        if s.domain != EXACT:
+            raise WrongDomainError(
+                "complex series are evaluation-only; arithmetic and comparison "
+                "need exact series")
+
+
 def _check_coeff(c: Coeff, domain: str) -> Coeff:
     if domain == EXACT:
         return _canon(c)
@@ -136,10 +149,10 @@ def _slot_count(order: RationalLike, ramification: int, offset: int) -> int:
 class PuiseuxSeries(FrozenRecord):
     """coeffs[i] is the coefficient of q^((offset + i)/ramification), for every
     slot below order.  Equality, hashing and repr read these five fields only;
-    `_support` is a private cache of the nonzero support, filled on first use."""
+    `_step_cache` and `_float_cache` are private caches, filled on first use."""
 
     _fields = ("ramification", "offset", "coeffs", "order", "domain")
-    __slots__ = _fields + ("_support",)
+    __slots__ = _fields + ("_step_cache", "_float_cache")
 
     def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
                  domain: str):
@@ -279,25 +292,35 @@ class PuiseuxSeries(FrozenRecord):
             return _zero_of(self.domain)
         return self.coeffs[int(i)]
 
-    def _nonzero_support(self) -> tuple[int, tuple, tuple]:
-        """(g, exps, cs), computed once per series: g is the gcd spacing of the
-        nonzero slots (1 when there are fewer than two), and exps[t], cs[t] are
-        the float exponent (offset + i)/D and the coefficient of the t-th
-        nonzero slot i, in increasing order."""
+    def _step(self) -> int:
+        """The gcd spacing, in slots, of the nonzero slots (1 when there are
+        fewer than two); computed once per series, in integers."""
         try:
-            return self._support
+            return self._step_cache
         except AttributeError:
             pass
-        coeffs, off, D = self.coeffs, self.offset, self.ramification
-        idx = [i for i, c in enumerate(coeffs) if c]
+        idx = [i for i, c in enumerate(self.coeffs) if c]
         g = gcd(*[i - idx[0] for i in idx[1:]]) if len(idx) > 1 else 1
-        support = (g, tuple([(off + i) / D for i in idx]), tuple([coeffs[i] for i in idx]))
-        object.__setattr__(self, "_support", support)
-        return support
+        object.__setattr__(self, "_step_cache", g)
+        return g
+
+    def _float_view(self) -> tuple[tuple, tuple]:
+        """(exps, cs), computed once per series on its first evaluation:
+        exps[t] and cs[t] are the float exponent (offset + i)/D and complex(c)
+        of the t-th nonzero slot i, in increasing order."""
+        try:
+            return self._float_cache
+        except AttributeError:
+            pass
+        off, D = self.offset, self.ramification
+        nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        view = (tuple([(off + i) / D for i, _ in nz]), tuple([complex(c) for _, c in nz]))
+        object.__setattr__(self, "_float_cache", view)
+        return view
 
     def support_step(self) -> Fraction:
         """Gcd spacing of the nonzero support (falls back to the full 1/D grid)."""
-        return Fraction(self._nonzero_support()[0], self.ramification)
+        return Fraction(self._step(), self.ramification)
 
     # -- domain handling ---------------------------------------------------
 
@@ -308,53 +331,44 @@ class PuiseuxSeries(FrozenRecord):
                              tuple(complex(c) for c in self.coeffs),
                              self.order, COMPLEX)
 
-    def _require_same_domain(self, other: "PuiseuxSeries"):
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"mixed domains {self.domain}/{other.domain}; call to_complex() first")
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        self._require_same_domain(other)
+        _require_exact(self, other)
         order = min(self.order, other.order)
         D = lcm(self.ramification, other.ramification, order.denominator)
-        return PuiseuxSeries.from_slots(self._slots(D) + other._slots(D), D, order, self.domain)
+        return PuiseuxSeries.from_slots(self._slots(D) + other._slots(D), D, order)
 
     def __neg__(self) -> "PuiseuxSeries":
+        _require_exact(self)
         return PuiseuxSeries(self.ramification, self.offset,
-                             tuple(-c for c in self.coeffs), self.order, self.domain)
+                             tuple(-c for c in self.coeffs), self.order, EXACT)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
 
     def scale(self, c) -> "PuiseuxSeries":
-        """Multiply every coefficient by the scalar c (domain must match)."""
-        c = _check_coeff(c, self.domain)
+        """Multiply every coefficient by the exact scalar c."""
+        _require_exact(self)
+        c = _canon(c)
         if c == 0:
-            return PuiseuxSeries.zero(self.order, self.domain)
-        if self.domain == EXACT:
-            cs = tuple(_canon(c * x) for x in self.coeffs)
-        else:
-            cs = tuple(c * x for x in self.coeffs)
-        return PuiseuxSeries(self.ramification, self.offset, cs, self.order, self.domain)
+            return PuiseuxSeries.zero(self.order)
+        cs = tuple(_canon(c * x) for x in self.coeffs)
+        return PuiseuxSeries(self.ramification, self.offset, cs, self.order, EXACT)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        self._require_same_domain(other)
+        _require_exact(self, other)
         order = min(self.order + other._lead_or_order(),
                     other.order + self._lead_or_order())
         D = lcm(self.ramification, other.ramification, order.denominator)
         top = math.ceil(order * D)
         a, b = self._slots(D), other._slots(D)
         if not a or not b:
-            return PuiseuxSeries.zero(order, self.domain)
-        if self.domain != EXACT:
-            products = ((ka + kb, ca * cb) for ka, ca in a for kb, cb in b if ka + kb < top)
-            return PuiseuxSeries.from_slots(products, D, order, self.domain)
+            return PuiseuxSeries.zero(order)
         # integer numerators over one common denominator per operand
         da, a = _over_common_den(a)
         db, b = _over_common_den(b)
@@ -371,7 +385,8 @@ class PuiseuxSeries(FrozenRecord):
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if not isinstance(n, int) or n < 0:
             raise SeriesError("series powers must be nonnegative integers (use invert)")
-        out = PuiseuxSeries.one(self.order, self.domain)
+        _require_exact(self)
+        out = PuiseuxSeries.one(self.order)
         for _ in range(n):
             out = out * self
         return out
@@ -381,57 +396,57 @@ class PuiseuxSeries(FrozenRecord):
 
         Runs the triangular recurrence only for m on the support lattice gZ,
         g = support_step() in slots (24 for eta on its 1/24 grid): every
-        other coefficient of the inverse is zero.  Complex series solve
-        b_0 = 1/a_0, b_m = -(1/a_0) sum_k a_k b_{m-k}.  Exact series write
-        their coefficients as integers n_k over a common denominator d and
-        solve c_0 = 1, c_m = -sum_k n_k n_0^(k-1) c_{m-k} in integers
-        (k, m counted in lattice steps), so that b_m = d c_m / n_0^(m+1).
+        other coefficient of the inverse is zero.  The coefficients are
+        written as integers n_k over a common denominator d, and the
+        recurrence c_0 = 1, c_m = -sum_k n_k n_0^(k-1) c_{m-k} runs in
+        integers (k, m counted in lattice steps), so that
+        b_m = d c_m / n_0^(m+1).
         """
+        _require_exact(self)
         nz = [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
         if not nz:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
         D = self.ramification
-        i0, a0 = nz[0]
+        i0 = nz[0][0]
         lead = self.exponent(i0)
         # a = a0 q^lead (1 + u); b = a^{-1} known modulo order - 2*lead
         order = self.order - 2 * lead
         off = -(self.offset + i0)
         n = _slot_count(order, D, off)
-        g = self._nonzero_support()[0]
-        exact = self.domain == EXACT
-        if exact:
-            d, nums = _over_common_den(nz)
-            n0 = nums[0][1]
-            tail = [(i - i0, x * n0 ** ((i - i0) // g - 1)) for i, x in nums[1:]]
-            b0, mult = 1, -1
-        else:
-            tail = [(i - i0, c) for i, c in nz[1:]]
-            b0 = 1.0 / a0
-            mult = -b0
-        zero = _zero_of(self.domain)
-        b = [zero] * n
-        b[0] = b0
+        g = self._step()
+        d, nums = _over_common_den(nz)
+        n0 = nums[0][1]
+        tail = [(i - i0, x * n0 ** ((i - i0) // g - 1)) for i, x in nums[1:]]
+        b = [0] * n
+        b[0] = 1
         for m in range(g, n, g):
-            s = zero
+            s = 0
             for k, w in tail:
                 if k > m:
                     break
                 s += w * b[m - k]
-            if s != 0:
-                b[m] = mult * s
-        if exact and (d, n0) != (1, 1):
+            b[m] = -s
+        if (d, n0) != (1, 1):
             b = [_ratio(d * c, n0 ** (m // g + 1)) if c else 0 for m, c in enumerate(b)]
-        return PuiseuxSeries(D, off, tuple(b), order, self.domain)
+        return PuiseuxSeries(D, off, tuple(b), order, EXACT)
 
     def q_d_dq(self) -> "PuiseuxSeries":
         """The derivation q d/dq, i.e. (2 pi i)^{-1} d/dtau: c q^e -> c e q^e."""
-        if self.domain == EXACT:
-            D = self.ramification
-            cs = tuple(_ratio(c.numerator * (self.offset + i), c.denominator * D) if c else 0
-                       for i, c in enumerate(self.coeffs))
-        else:
-            cs = tuple(c * float(self.exponent(i)) for i, c in enumerate(self.coeffs))
-        return PuiseuxSeries(self.ramification, self.offset, cs, self.order, self.domain)
+        _require_exact(self)
+        D = self.ramification
+        cs = tuple(_ratio(c.numerator * (self.offset + i), c.denominator * D) if c else 0
+                   for i, c in enumerate(self.coeffs))
+        return PuiseuxSeries(D, self.offset, cs, self.order, EXACT)
+
+    def _regrid(self, D: int, off: int, order: Fraction, p: int = 1) -> "PuiseuxSeries":
+        """Our slot i placed at slot i*p of the grid with ramification D,
+        offset off and the given order; slots that fall at or beyond the order
+        are dropped."""
+        n = _slot_count(order, D, off)
+        m = min(len(self.coeffs), -(-n // p))  # the slots i with i*p < n
+        cs = [_zero_of(self.domain)] * n
+        cs[:m * p:p] = self.coeffs[:m]
+        return PuiseuxSeries(D, off, tuple(cs), order, self.domain)
 
     def rescale(self, r: RationalLike) -> "PuiseuxSeries":
         """Exponent map q^e -> q^{re}, realizing tau -> r*tau; order becomes r*order."""
@@ -439,81 +454,61 @@ class PuiseuxSeries(FrozenRecord):
         if r <= 0:
             raise SeriesError("rescale factor must be positive")
         step = Fraction(r.numerator, r.denominator * self.ramification)
-        D = step.denominator
         p = step.numerator
-        off = self.offset * p
-        order = r * self.order
-        n = _slot_count(order, D, off)
-        cs = [_zero_of(self.domain)] * n
-        for i, c in enumerate(self.coeffs):
-            j = i * p
-            if j < n:
-                cs[j] = c
-        return PuiseuxSeries(D, off, tuple(cs), order, self.domain)
+        return self._regrid(step.denominator, self.offset * p, r * self.order, p)
 
     def shift_tau(self, s: RationalLike) -> "PuiseuxSeries":
         """tau -> tau + s: multiplies c q^e by e^{2 pi i e s} termwise."""
+        _require_exact(self)
         s = _as_fraction(s)
         if s == 0:
             return self
-        if self.domain == EXACT:
-            # the phase of slot i is r/M, r = (offset + i) * s.numerator mod M
-            M = self.ramification * s.denominator
-            cs = list(self.coeffs)
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                r = (self.offset + i) * s.numerator % M
-                if r == 0:
-                    continue
-                if 2 * r == M:
-                    cs[i] = -c
-                else:
-                    raise DomainPromotionRequired(
-                        f"multiplier e^(2 pi i {Fraction(r, M)}) is irrational; "
-                        "promote to complex first")
-            return PuiseuxSeries(self.ramification, self.offset, tuple(cs),
-                                 self.order, EXACT)
-        cs = tuple(c * cmath.exp(2j * math.pi * float(self.exponent(i) * s))
-                   for i, c in enumerate(self.coeffs))
-        return PuiseuxSeries(self.ramification, self.offset, cs, self.order, COMPLEX)
+        # the phase of slot i is r/M, r = (offset + i) * s.numerator mod M
+        M = self.ramification * s.denominator
+        cs = list(self.coeffs)
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            r = (self.offset + i) * s.numerator % M
+            if r == 0:
+                continue
+            if 2 * r == M:
+                cs[i] = -c
+            else:
+                raise DomainPromotionRequired(
+                    f"multiplier e^(2 pi i {Fraction(r, M)}) is irrational; "
+                    "exact coefficients are rational")
+        return PuiseuxSeries(self.ramification, self.offset, tuple(cs), self.order, EXACT)
 
     def shifted(self, delta: RationalLike) -> "PuiseuxSeries":
         """Multiply by the monomial q^delta (exponent translation)."""
         delta = _as_fraction(delta)
         D = lcm(self.ramification, delta.denominator)
         k = D // self.ramification
-        off = self.offset * k + int(delta * D)
-        order = self.order + delta
-        cs = [_zero_of(self.domain)] * _slot_count(order, D, off)
-        for i, c in enumerate(self.coeffs):
-            cs[i * k] = c
-        return PuiseuxSeries(D, off, tuple(cs), order, self.domain)
+        return self._regrid(D, self.offset * k + int(delta * D), self.order + delta, k)
 
     def truncate(self, order: RationalLike) -> "PuiseuxSeries":
         order = min(_as_fraction(order), self.order)
-        n = _slot_count(order, self.ramification, self.offset)
-        return PuiseuxSeries(self.ramification, self.offset, self.coeffs[:n],
-                             order, self.domain)
+        return self._regrid(self.ramification, self.offset, order)
 
     # -- comparison --------------------------------------------------------
 
     def first_mismatch(self, other: "PuiseuxSeries"):
         """First (exponent, self-coeff, other-coeff) differing below min(order), else None."""
+        _require_exact(self, other)
         D = lcm(self.ramification, other.ramification)
         top = math.ceil(min(self.order, other.order) * D)
         a, b = dict(self._slots(D)), dict(other._slots(D))
         for k in sorted(a.keys() | b.keys()):
             if k >= top:
                 break
-            ca, cb = a.get(k, _zero_of(self.domain)), b.get(k, _zero_of(other.domain))
+            ca, cb = a.get(k, 0), b.get(k, 0)
             if ca != cb:
                 return Fraction(k, D), ca, cb
         return None
 
     def equals(self, other: "PuiseuxSeries") -> bool:
         """Coefficient-wise equality up to min(order), tolerant of grid differences."""
-        self._require_same_domain(other)
         return self.first_mismatch(other) is None
 
     # -- evaluation --------------------------------------------------------
@@ -527,8 +522,9 @@ class PuiseuxSeries(FrozenRecord):
         actually converge.
 
         The value is the sum, in increasing exponent order from 0j, of
-        c * exp(w * e) with w = 2 pi i tau and e the correctly rounded float
-        exponent of each nonzero term, read from the cached support.  That is
+        complex(c) * exp(w * e) with w = 2 pi i tau and e the correctly rounded
+        float exponent of each nonzero term, read from the cached float view,
+        so an exact series evaluates bit for bit as its to_complex() does.  That is
         the float arithmetic of summing c * exp(2 pi i tau * float(e)) over
         Fraction exponents, so results are bit-identical to it; keep the
         per-term exp (Horner's rule or powers of q would round differently).
@@ -538,11 +534,11 @@ class PuiseuxSeries(FrozenRecord):
             raise NotInUpperHalfPlane(f"tau = {tau} is not finite")
         if tau.imag <= 0:
             raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} is not positive")
-        g, exps, cs = self._nonzero_support()
-        rho = math.exp(-2 * math.pi * tau.imag * (g / self.ramification))
+        rho = math.exp(-2 * math.pi * tau.imag * (self._step() / self.ramification))
         if rho >= 0.9:
             raise InsufficientConvergence(
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
+        exps, cs = self._float_view()
         w = 2j * math.pi * tau
         exp = cmath.exp
         terms = [c * exp(w * e) for e, c in zip(exps, cs)]

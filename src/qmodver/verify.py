@@ -13,7 +13,7 @@ from . import lattice, specfun
 from ._record import Record
 from .modgroup import (S, T, ModularMatrix, SectorPair, act_on_pair, is_in_gamma,
                        mobius, slash_factor)
-from .series import (EXACT, EvaluationError, PuiseuxSeries, SeriesError)
+from .series import EXACT, EvaluationError, PuiseuxSeries, WrongDomainError
 
 DEFAULT_EXACT_ORDER = 30
 DEFAULT_NUMERIC_ORDER = 60
@@ -24,10 +24,6 @@ SUITE_NAMES = ("identities", "transforms", "closure", "eisenstein", "qk", "all")
 # the CLI flags each suite reads besides --order
 SUITE_FLAGS = {"identities": (), "transforms": ("tau", "tol"), "closure": ("tau", "tol"),
                "eisenstein": ("tol",), "qk": ("tol",)}
-
-
-class WrongDomainError(SeriesError):
-    """Exact comparison applied to complex-domain series."""
 
 
 class DegenerateSectorError(ValueError):
@@ -95,11 +91,11 @@ class _ExactRow(NamedTuple):
 
     `need` is the coverage the identity requires: a least order, re-checked
     by check_series_equal after the build, or "above x" when a side reads the
-    coefficient at q^x; None requires nothing.
+    coefficient at q^x (or the identity is first tested at q^x).
     """
     name: str
     order: Fraction
-    need: Fraction | int | str | None
+    need: Fraction | int | str
     lhs: Callable[[], PuiseuxSeries]
     rhs: Callable[[], PuiseuxSeries]
     expected_fail: bool = False
@@ -110,9 +106,9 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _insufficient_order(name: str, have: Fraction, need: str,
-                        expected_fail: bool = False) -> CheckReport:
-    return CheckReport(name, "exact-series", False, have,
+def _insufficient_order(name: str, have: Fraction, need: str, expected_fail: bool = False,
+                        kind: str = "exact-series") -> CheckReport:
+    return CheckReport(name, kind, False, have,
                        details=[{"error": "insufficient order",
                                  "have": str(have), "need": need}],
                        expected_fail=expected_fail)
@@ -122,7 +118,7 @@ def _covers(order: Fraction, need) -> bool:
     """Whether a build at `order` meets an `_ExactRow` coverage."""
     if isinstance(need, str):
         return order > Fraction(need.removeprefix("above "))
-    return need is None or order >= need
+    return order >= need
 
 
 def check_series_equal(name: str, a: PuiseuxSeries, b: PuiseuxSeries,
@@ -156,17 +152,24 @@ def _exact_rows(rows) -> list[CheckReport]:
     return reports
 
 
-def _numeric_law(name: str, order: Fraction, points, tol: float, residual) -> CheckReport:
+def _numeric_law(name: str, sides, points, tol: float, residual) -> CheckReport:
     """The numeric pass rule over the sample points.
 
-    `residual(tau)` returns (residual, tail bound, extra detail fields); the
-    law passes when every residual is below tol and every tail below tol/10.
+    `residual(tau)` returns (residual, tail bound, extra detail fields) of a
+    law between the series `sides`; the law passes when every residual is
+    below tol and every tail below tol/10.  A side with no nonzero term below
+    its order has value 0 and tail 0 at every tau, so such a law is reported
+    as insufficient order instead, after the points are evaluated (a point
+    where a side does not converge still aborts the suite).
     """
+    order = min(s.order for s in sides)
     details = []
     for tau in points:
         tau = complex(tau)
         res, tail, extra = residual(tau)
         details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail, **extra})
+    if any(s.is_zero() for s in sides):
+        return _insufficient_order(name, order, "a nonzero term on each side", kind="numeric")
     max_res = max(d["residual"] for d in details)
     max_tail = max(d["tail"] for d in details)
     passed = max_res < tol and max_tail < tol / 10
@@ -184,8 +187,7 @@ def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
                 lhs.tail_estimate + abs(factor) * rhs.tail_estimate,
                 {"tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
 
-    return _numeric_law(name, min(f.order, g.order), spec.sample_points,
-                        spec.tolerance, residual)
+    return _numeric_law(name, (f, g), spec.sample_points, spec.tolerance, residual)
 
 
 def closure_scan(sector: SectorPair, gamma: ModularMatrix, sample_points,
@@ -197,8 +199,8 @@ def closure_scan(sector: SectorPair, gamma: ModularMatrix, sample_points,
     tau).  Returns (target sector, scalar, report).
     """
     target = act_on_pair(sector, gamma)
-    f = lattice.character(sector, order).series.to_complex()
-    g = lattice.character(target, order).series.to_complex()
+    f = lattice.character(sector, order).series
+    g = lattice.character(target, order).series
     if g.is_zero():
         raise DegenerateSectorError(f"target sector {target} has identically zero character")
     points = tuple(complex(t) for t in sample_points)
@@ -263,7 +265,7 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
     order = Fraction(_given(numeric_order, DEFAULT_NUMERIC_ORDER))
     points = tuple(sample_points or (2j, 1 + 2j))
     t_tol = _given(tol, 1e-10)
-    eta = specfun.dedekind_eta(order).to_complex()
+    eta = specfun.dedekind_eta(order)
     reports = [
         check_transform_numeric("eta-T-law", eta, eta, TransformSpec(
             T, Fraction(0), cmath.exp(1j * math.pi / 12), points, t_tol)),
@@ -276,7 +278,7 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
     # checked at series level: the q-expansion of the left side (phase stripped)
     # against the right side evaluated pointwise.  The pointwise principal
     # branch carries the extra root of unity e^{i pi/24}.
-    half = specfun.eta_half_period_series(order).to_complex()
+    half = specfun.eta_half_period_series(order)
 
     def half_residual(tau):
         lhs = half.evaluate(tau)
@@ -287,7 +289,7 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
         tail = lhs.tail_estimate + e1.tail_estimate + e2.tail_estimate + e3.tail_estimate
         return abs(lhs.value - rhs), tail, {}
 
-    rep = _numeric_law("eta-half-argument-law", order, (2j,), _given(tol, 1e-9),
+    rep = _numeric_law("eta-half-argument-law", (half, eta), (2j,), _given(tol, 1e-9),
                        half_residual)
     rep.details.append({"note": "left side is the q-expansion of "
                                 "e^{-i pi/24} eta((tau+1)/2); the pointwise "
@@ -303,9 +305,9 @@ def closure_suite(numeric_order=None, tol=None, sample_points=None) -> list[Chec
     reports = []
 
     # S-closure of the supertrace vector at weight 0
-    c01 = lattice.character(SectorPair(2, 0, 1), order).series.to_complex()
-    c11 = lattice.character(SectorPair(2, 1, 1), order).series.to_complex()
-    c10 = lattice.character(SectorPair(2, 1, 0), order).series.to_complex()
+    c01 = lattice.character(SectorPair(2, 0, 1), order).series
+    c11 = lattice.character(SectorPair(2, 1, 1), order).series
+    c10 = lattice.character(SectorPair(2, 1, 0), order).series
     s_points = (2j, 3j)
     reports.append(check_transform_numeric(
         "S-closure-(0,1)->(1,0)", c01, c10,
@@ -336,14 +338,14 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
             -specfun.bernoulli_number(k) / math.factorial(k), 0, o_exact))
         for k in (2, 4, 6))
     for k in (4, 6):
-        ek = specfun.eisenstein(k, order).to_complex()
+        ek = specfun.eisenstein(k, order)
         reports.append(check_transform_numeric(
             f"E{k}-S-modularity", ek, ek,
             TransformSpec(S, Fraction(k), 1.0 + 0j, (2j,), tolerance)))
 
     # E2 quasi-modularity: (E2(-1/tau) - tau^2 E2(tau))/tau against its predicted value
     predicted = 1j / (2 * math.pi)
-    e2 = specfun.eisenstein(2, order).to_complex()
+    e2 = specfun.eisenstein(2, order)
     measured = []
 
     def defect_residual(tau):
@@ -354,7 +356,7 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
         tail = (lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau)
         return abs(const - predicted), tail, {}
 
-    rep = _numeric_law("E2-S-defect-constancy", order, (2j, 3j), tolerance,
+    rep = _numeric_law("E2-S-defect-constancy", (e2,), (2j, 3j), tolerance,
                        defect_residual)
     rep.details.append({"predicted_defect_over_tau": [predicted.real, predicted.imag],
                         "measured_defect_over_tau": measured,
@@ -380,7 +382,7 @@ def qk_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport
         _ExactRow("Q0-is-minus-one", o_exact, "above 0",
                   lambda: specfun.q_twisted(0, specfun.TwistParams(0, 1, 1, 2), o_exact),
                   lambda: PuiseuxSeries.monomial(Fraction(-1), 0, o_exact)),
-        _ExactRow("Q1-(mu=-1,lam=1)-vanishes", o_exact, None,
+        _ExactRow("Q1-(mu=-1,lam=1)-vanishes", o_exact, "above 1/2",
                   lambda: specfun.q_twisted(1, mu_lam, o_exact),
                   lambda: PuiseuxSeries.zero(o_exact)),
         _ExactRow("Q2-(mu=-1,lam=1)-low-coefficients", o_exact, "above 1/2",
@@ -410,7 +412,7 @@ def qk_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport
     reports.append(CheckReport("Q2-gamma-in-Gamma(2,1)", "exact-series", member,
                                Fraction(0), details=[{"gamma": list(gamma.entries())}]))
     if member:
-        q2n = specfun.q_twisted(2, mu_lam, o_num).to_complex()
+        q2n = specfun.q_twisted(2, mu_lam, o_num)
         reports.append(check_transform_numeric(
             "Q2-weight-2-modularity", q2n, q2n,
             TransformSpec(gamma, Fraction(2), 1.0 + 0j, (1j,), tolerance)))

@@ -9,14 +9,34 @@ from hypothesis import strategies as st
 from qmodver import lattice, specfun
 from qmodver.modgroup import SectorPair
 from qmodver.series import (COMPLEX, EXACT, BeyondTruncationError,
-                            DomainMismatchError, DomainPromotionRequired, EvalResult,
+                            DomainPromotionRequired, EvalResult,
                             InsufficientConvergence, NonInvertibleError,
-                            NotInUpperHalfPlane, PuiseuxSeries, SeriesError)
+                            NotInUpperHalfPlane, PuiseuxSeries, SeriesError,
+                            WrongDomainError)
 
 
 def geom(order=10):
     # 1 + q + q^2 + ...
     return PuiseuxSeries.from_terms([(F(n), F(1)) for n in range(order)], order)
+
+
+# every arithmetic and comparison kernel, applied to a complex operand z
+EXACT_ONLY = {
+    "add": lambda z: z + geom(5),
+    "radd": lambda z: geom(5) + z,
+    "sub": lambda z: geom(5) - z,
+    "neg": lambda z: -z,
+    "mul": lambda z: z * geom(5),
+    "rmul": lambda z: geom(5) * z,
+    "pow": lambda z: z ** 0,
+    "scale": lambda z: z.scale(2),
+    "invert": lambda z: z.invert(),
+    "q_d_dq": lambda z: z.q_d_dq(),
+    "shift_tau": lambda z: z.shift_tau(1),
+    "shift_tau-0": lambda z: z.shift_tau(0),
+    "first_mismatch": lambda z: geom(5).first_mismatch(z),
+    "equals": lambda z: z.equals(z),
+}
 
 
 class TestConstruction:
@@ -58,9 +78,10 @@ class TestArithmetic:
         x = geom(8)
         assert (x + PuiseuxSeries.zero(8)).equals(x)
 
-    def test_add_domain_mismatch(self):
-        with pytest.raises(DomainMismatchError):
-            geom(5) + geom(5).to_complex()
+    @pytest.mark.parametrize("op", sorted(EXACT_ONLY))
+    def test_exact_only_op_rejects_complex(self, op):
+        with pytest.raises(WrongDomainError, match="evaluation-only"):
+            EXACT_ONLY[op](geom(5).to_complex())
 
     def test_mul_telescoping(self):
         one_minus_q = PuiseuxSeries.from_terms([(F(0), F(1)), (F(1), F(-1))], 10)
@@ -106,12 +127,17 @@ class TestArithmetic:
 
     def test_shift_tau_promotion_required(self):
         s = PuiseuxSeries.monomial(F(1), F(1, 24), 5)
-        with pytest.raises(DomainPromotionRequired):
+        with pytest.raises(DomainPromotionRequired, match=r"e\^\(2 pi i 1/24\) is irrational"):
             s.shift_tau(1)
-        shifted = s.to_complex().shift_tau(1)
-        got = shifted.coefficient_at(F(1, 24))
-        want = complex(math.cos(math.pi / 12), math.sin(math.pi / 12))
-        assert abs(got - want) < 1e-14
+
+    def test_invert_huge_lead_stays_exact(self):
+        # 10**400 has no float; no exact kernel may convert a coefficient
+        u = PuiseuxSeries.from_terms([(0, 10 ** 400), (F(1, 2), F(1, 3))], 3)
+        inv = u.invert()
+        assert inv.coefficient_at(0) == F(1, 10 ** 400)
+        assert inv.coefficient_at(F(1, 2)) == F(-1, 3 * 10 ** 800)
+        assert u.support_step() == F(1, 2)
+        assert (u * inv).equals(PuiseuxSeries.one(inv.order))
 
 
 class TestEvaluate:
@@ -429,7 +455,55 @@ taus = st.builds(complex, st.floats(-2, 2), st.floats(0.02, 4))
 def test_evaluate_is_bit_identical_to_fraction_reference(s, tau, s_image):
     if s_image:
         tau = -1 / tau
-    assert outcome(s.evaluate, tau) == outcome(reference_evaluate, s, tau)
+    got = outcome(s.evaluate, tau)
+    assert got == outcome(reference_evaluate, s, tau)
+    if s.domain == EXACT:
+        assert got == outcome(s.to_complex().evaluate, tau)
+
+
+# -- the regrid kernel against the three loops it replaced --------------------
+
+def reference_rescale(s, r):
+    r = F(r)
+    step = F(r.numerator, r.denominator * s.ramification)
+    D, p = step.denominator, step.numerator
+    off, order = s.offset * p, r * s.order
+    n = max(0, math.ceil(order * D - off))
+    cs = [0j if s.domain == COMPLEX else 0] * n
+    for i, c in enumerate(s.coeffs):
+        if i * p < n:
+            cs[i * p] = c
+    return PuiseuxSeries(D, off, tuple(cs), order, s.domain)
+
+
+def reference_shifted(s, delta):
+    delta = F(delta)
+    D = math.lcm(s.ramification, delta.denominator)
+    k = D // s.ramification
+    off = s.offset * k + int(delta * D)
+    order = s.order + delta
+    cs = [0j if s.domain == COMPLEX else 0] * max(0, math.ceil(order * D - off))
+    for i, c in enumerate(s.coeffs):
+        cs[i * k] = c
+    return PuiseuxSeries(D, off, tuple(cs), order, s.domain)
+
+
+def reference_truncate(s, order):
+    order = min(F(order), s.order)
+    n = max(0, math.ceil(order * s.ramification - s.offset))
+    return PuiseuxSeries(s.ramification, s.offset, s.coeffs[:n], order, s.domain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(evaluation_series(),
+       st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 5)]),
+       st.sampled_from([F(0), F(1, 24), F(-5, 6), F(2), F(7, 3)]),
+       st.sampled_from([F(0), F(1, 5), F(1), F(-1), F(100)]))
+def test_regrid_matches_the_loops_it_replaced(s, r, delta, cut):
+    # repr shows all five fields and the type of every coefficient
+    assert repr(s.rescale(r)) == repr(reference_rescale(s, r))
+    assert repr(s.shifted(delta)) == repr(reference_shifted(s, delta))
+    assert repr(s.truncate(s.order - cut)) == repr(reference_truncate(s, s.order - cut))
 
 
 def test_evaluate_reference_sees_overflow_and_convergence_errors():

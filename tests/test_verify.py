@@ -192,11 +192,21 @@ class TestRunSuite:
         assert set(exact) == default
         short = {name for name, d in exact.items()
                  if d["details"][:1] and d["details"][0].get("error") == "insufficient order"}
-        # Q1 vanishing and the Gamma(2,1) membership need no coefficient
-        assert default - short <= {"Q1-(mu=-1,lam=1)-vanishes", "Q2-gamma-in-Gamma(2,1)"}
+        # the Gamma(2,1) membership needs no coefficient
+        assert default - short <= {"Q2-gamma-in-Gamma(2,1)"}
         for name in short:
             assert exact[name]["details"][0]["have"] == "0"
             assert not exact[name]["passed"]
+        # every numeric law has a side truncated to nothing
+        numeric = {d["name"]: d for d in docs if d["kind"] == "numeric"}
+        assert set(numeric) == {
+            "identities": set(),
+            "eisenstein": {"E2-S-defect-constancy", "E4-S-modularity", "E6-S-modularity"},
+            "qk": {"Q2-weight-2-modularity"}}[suite]
+        for d in numeric.values():
+            assert not d["passed"] and d["max_residual"] is None
+            assert d["details"][0] == {"error": "insufficient order", "have": "0",
+                                       "need": "a nonzero term on each side"}
 
     def test_order_zero_all_suites(self, capsys):
         # eta truncated at order 0 is 0, so transforms and closure abort
@@ -286,6 +296,12 @@ class TestCli:
         assert cli.main(["transform", "--gamma", "0,-1,1,0", "--weight", "4",
                          "--lhs", "E4", "--rhs", "E6", "--tau", "0,2",
                          "--tol", "1e-8"]) == 1
+        # theta1 vanishes identically: no vacuous pass on two zero sides
+        capsys.readouterr()
+        assert cli.main(["transform", "--gamma", "0,-1,1,0", "--weight", "4",
+                         "--lhs", "theta1", "--rhs", "theta1", "--tau", "0,2"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAIL  [numeric] transform-theta1-gamma(0, -1, 1, 0)-theta1\n")
 
     def test_convergence_exit(self, capsys):
         # tau with tiny imaginary part: |q|^step too close to 1
