@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .modgroup import SectorPair
@@ -52,15 +53,13 @@ def lattice_sum(sector: SectorPair, order) -> PuiseuxSeries:
     """Bilateral sum over lattice points: sign^s q^{exponent(s)} truncated at order."""
     alternating, twisted, _ = _SECTORS[_sector_key(sector)]
     order = Fraction(order)
+    D = math.lcm(8 if twisted else 2, order.denominator)
     N = math.isqrt(max(0, math.ceil(2 * order))) + 3
     terms = []
     for s in range(-N, N + 1):
         e = _lattice_exponent(s, twisted)
-        if e >= order:
-            continue
-        c = Fraction(-1 if (alternating and s % 2) else 1)
-        terms.append((e, c))
-    return PuiseuxSeries.from_terms(terms, order, ramification=8 if twisted else 2)
+        terms.append((e.numerator * (D // e.denominator), -1 if (alternating and s % 2) else 1))
+    return PuiseuxSeries.from_slots(terms, D, order)
 
 
 def character(sector: SectorPair, order) -> CharacterData:
@@ -80,13 +79,16 @@ def eta_theta_form(sector: SectorPair, order) -> PuiseuxSeries:
     return (dedekind_eta(inner).invert() * jacobi_theta(theta_index, inner)).truncate(order)
 
 
-def _partition_counts(n_max: int) -> list[int]:
-    # coin-counting DP, independent of the series machinery
+@lru_cache(maxsize=1)
+def _partition_counts(n_max: int) -> tuple[int, ...]:
+    """p(0), ..., p(n_max) by the coin-counting DP, independent of the series
+    machinery; the last table is kept, so the four sectors of one order build
+    it once."""
     p = [1] + [0] * n_max
     for part in range(1, n_max + 1):
         for n in range(part, n_max + 1):
             p[n] += p[n - part]
-    return p
+    return tuple(p)
 
 
 def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
@@ -101,7 +103,8 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
     order = Fraction(order)
     D = math.lcm(24, order.denominator)
     top = math.ceil(order * D)
-    n_max = math.ceil(order - PREFACTOR_EXP + (Fraction(1, 8) if twisted else 0)) + 1
+    # the lowest lattice exponent is -1/8 (twisted) or 0: one bound serves every sector
+    n_max = math.ceil(order - PREFACTOR_EXP + Fraction(1, 8)) + 1
     counts = _partition_counts(max(0, n_max))
     N = math.isqrt(max(0, math.ceil(2 * order))) + 3
     terms = []

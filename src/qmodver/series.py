@@ -5,6 +5,13 @@ known modulo q^order: every retained exponent is strictly below `order`, and
 operations propagate the sharpest order they can justify rather than a fixed
 global truncation.  All values are immutable and all operations are pure.
 
+A series is stored on its support lattice: `vals[j]` is the coefficient of
+slot offset + j*g, and every other slot below the order holds the domain's
+zero.  The step g is the gcd of the stored slot indices, so eta (exponents
+1/24 + integers on the 1/24 grid) keeps one value per integer, not 24, and
+the characters one in 12.  `coeffs` is the dense view, one value per slot,
+built on demand for readers outside the package; no kernel reads it.
+
 Exact-domain coefficients are canonical: an `int` when the value is integral,
 a `fractions.Fraction` otherwise (every operation returns canonical
 coefficients and accepts any mix of the two).
@@ -16,12 +23,13 @@ comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
 series directly and returns, bit for bit, what their `to_complex()` returns.
 
 The exact kernels work on integers and never convert a coefficient to
-float.  `__mul__` writes each operand once as integer numerators over one
-common denominator (the lcm of its coefficient denominators, 1 for eta,
-theta, partitions and the characters) and convolves plain ints on integer
-slot indices of a common grid; `invert` runs its triangular recurrence in
-integers for any leading numerator; `from_slots` is the one constructor that
-sums (slot, value) pairs and builds each output coefficient once.
+float, and each reads and writes lattice values only.  `__mul__` writes each
+operand once as integer numerators over one common denominator (the lcm of
+its coefficient denominators, 1 for eta, theta, partitions and the
+characters) and convolves plain ints on the product lattice; `invert` runs
+its triangular recurrence in integers for any leading numerator;
+`from_slots` is the one constructor that sums (slot, value) pairs and builds
+each output coefficient once.
 """
 
 from __future__ import annotations
@@ -87,10 +95,22 @@ def _as_fraction(x) -> Fraction:
 
 
 _EXACT_TYPES = (int, Fraction)
+_COMPLEX_ZERO = complex(0.0)  # one object, so every zero slot of a series is the same
 
 
 def _zero_of(domain: str) -> Coeff:
-    return 0 if domain == EXACT else complex(0.0)
+    return 0 if domain == EXACT else _COMPLEX_ZERO
+
+
+def _stored(v, domain: str) -> bool:
+    """Whether v differs from the domain's zero (int 0, or 0j with positive
+    zeros) in value, type or sign: a Fraction(0), a -0j or an int in a
+    complex series keeps its slot, so the dense view keeps its repr."""
+    if v:
+        return True
+    if domain == EXACT:
+        return type(v) is not int
+    return type(v) is not complex or repr(v) != "0j"
 
 
 def _canon(c) -> Coeff:
@@ -146,32 +166,106 @@ def _slot_count(order: RationalLike, ramification: int, offset: int) -> int:
     return max(0, -((offset * d - order.numerator * ramification) // d))
 
 
+def _spread(values: dict, domain: str) -> tuple[int, list]:
+    """(g, vals) for {i: value} with slot indices i >= 0: vals[j] is the value
+    at i = j*g (the domain's zero where there is none), g the gcd of the
+    indices (1 when that is 0)."""
+    g = gcd(*values) or 1
+    vals = [_zero_of(domain)] * (max(values, default=-1) // g + 1)
+    for i, v in values.items():
+        vals[i // g] = v
+    return g, vals
+
+
 class PuiseuxSeries(FrozenRecord):
-    """coeffs[i] is the coefficient of q^((offset + i)/ramification), for every
-    slot below order.  Equality, hashing and repr read these five fields only;
-    `_step_cache` and `_float_cache` are private caches, filled on first use."""
+    """The coefficient of q^((offset + i)/ramification), for every slot i below
+    order, is vals[i // g] when g divides i and the domain's zero otherwise.
+
+    The stored form (ramification, offset, g, vals, order, domain) is
+    canonical: g is the gcd of the indices i of the slots whose value is not
+    the domain's zero (1 when no such slot lies above the offset), and vals
+    ends at the last such slot.  `coeffs` is the dense tuple over every slot.  Equality
+    and hashing read the stored form with each zero value taken as the
+    domain's zero, so they agree with a comparison of the dense tuples; repr
+    and pickling show the dense fields.  `_step_cache` and `_float_cache` are
+    private caches, filled on first use.
+    """
 
     _fields = ("ramification", "offset", "coeffs", "order", "domain")
-    __slots__ = _fields + ("_step_cache", "_float_cache")
+    __slots__ = ("ramification", "offset", "g", "vals", "order", "domain",
+                 "_step_cache", "_float_cache")
 
     def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
                  domain: str):
-        if ramification < 1:
+        self._store(ramification, offset, 1, coeffs, order, domain, dense=True)
+
+    def _store(self, D: int, off: int, g: int, vals, order: Fraction, domain: str,
+               dense: bool = False):
+        """Set the fields from vals on the lattice off + g*Z, coarsened to the
+        canonical form, after the checks of the dense constructor (dense:
+        vals is the dense tuple, whose length must be the slot count)."""
+        if D < 1:
             raise SeriesError("ramification must be a positive integer")
         if domain not in (EXACT, COMPLEX):
             raise SeriesError(f"unknown domain {domain!r}")
-        n = _slot_count(order, ramification, offset)
-        if len(coeffs) != n:
+        n = _slot_count(order, D, off)
+        if dense and len(vals) != n:
             raise SeriesError(
-                f"coefficient list length {len(coeffs)} != {n} slots below order {order}"
-            )
+                f"coefficient list length {len(vals)} != {n} slots below order {order}")
         if domain == COMPLEX:
-            for c in coeffs:
+            for c in vals:
                 _check_coeff(c, COMPLEX)
-        elif not all(map(isinstance, coeffs, repeat(_EXACT_TYPES))):
-            for c in coeffs:
+        elif not all(map(isinstance, vals, repeat(_EXACT_TYPES))):
+            for c in vals:
                 _canon(c)  # raises on the first non-exact coefficient
-        super().__init__(ramification, offset, coeffs, order, domain)
+        last = len(vals) - 1
+        while last >= 0 and not _stored(vals[last], domain):
+            last -= 1
+        if last * g >= n:
+            raise SeriesError(f"a stored slot lies at or beyond the order {order}")
+        h = max(last, 1)  # the gcd of the stored indices j, early out at 1
+        for j in range(1, last):
+            if h == 1:
+                break
+            if _stored(vals[j], domain):
+                h = gcd(h, j)
+        g = g * h if last > 0 else 1
+        for name, value in (("ramification", D), ("offset", off), ("g", g),
+                            ("vals", tuple(vals[:last + 1:h])), ("order", order),
+                            ("domain", domain)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _from_lattice(D: int, off: int, g: int, vals, order: Fraction,
+                      domain: str = EXACT) -> "PuiseuxSeries":
+        """The series whose slot off + j*g of the 1/D grid holds vals[j], and
+        every other slot below order the domain's zero."""
+        s = object.__new__(PuiseuxSeries)
+        s._store(D, off, g, vals, order, domain)
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense view: one value per slot below the order."""
+        cs = [_zero_of(self.domain)] * _slot_count(self.order, self.ramification, self.offset)
+        cs[:len(self.vals) * self.g:self.g] = self.vals
+        return tuple(cs)
+
+    def _key(self) -> tuple:
+        """The stored form rebuilt on the nonzero slots, so that a stored zero
+        (Fraction(0), -0j) compares and hashes as the domain's zero."""
+        nz = [j for j, c in enumerate(self.vals) if c]
+        h = gcd(*nz)  # 0 when no nonzero slot lies above the offset
+        g, vals = (self.g * h, self.vals[:nz[-1] + 1:h]) if h else (1, self.vals[:len(nz)])
+        return self.ramification, self.offset, g, vals, self.order, self.domain
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # -- constructors ------------------------------------------------------
 
@@ -179,7 +273,7 @@ class PuiseuxSeries(FrozenRecord):
     def zero(order: RationalLike, domain: str = EXACT) -> "PuiseuxSeries":
         order = _as_fraction(order)
         off = math.ceil(order)  # no slots below order
-        return PuiseuxSeries(1, off, (), order, domain)
+        return PuiseuxSeries._from_lattice(1, off, 1, (), order, domain)
 
     @staticmethod
     def one(order: RationalLike, domain: str = EXACT) -> "PuiseuxSeries":
@@ -233,17 +327,16 @@ class PuiseuxSeries(FrozenRecord):
         if not nonzero:
             return PuiseuxSeries.zero(order, domain)
         base = min(nonzero)
-        values = [_zero_of(domain)] * (top - base)
-        for k in nonzero:
-            values[k - base] = acc[k]
-        return PuiseuxSeries._pack(values, base, D, order, domain, den)
+        g, values = _spread({k - base: acc[k] for k in nonzero}, domain)
+        return PuiseuxSeries._pack(values, base, g, D, order, domain, den)
 
     @staticmethod
-    def _pack(values: list, base: int, D: int, order: Fraction, domain: str,
+    def _pack(values: list, base: int, g: int, D: int, order: Fraction, domain: str,
               den: int = 1) -> "PuiseuxSeries":
-        """The series whose coefficient at exponent (base + i)/D is values[i]
-        (over den in the exact domain); values covers every slot below order."""
-        first = next((i for i, v in enumerate(values) if v != 0), None)
+        """The series whose coefficient at exponent (base + j*g)/D is values[j]
+        (over den in the exact domain), every other slot zero; the first
+        nonzero value becomes the offset."""
+        first = next((j for j, v in enumerate(values) if v != 0), None)
         if first is None:
             return PuiseuxSeries.zero(order, domain)
         values = values[first:]
@@ -252,12 +345,13 @@ class PuiseuxSeries(FrozenRecord):
                 values = [_ratio(v, den) if v else 0 for v in values]
             elif not set(map(type, values)) <= {int}:
                 values = [_canon(v) for v in values]
-        return PuiseuxSeries(D, base + first, tuple(values), order, domain)
+        return PuiseuxSeries._from_lattice(D, base + first * g, g, values, order, domain)
 
     def _slots(self, D: int) -> list:
         """Nonzero (k, coefficient) pairs, exponent k/D, on a grid D divisible by ours."""
         step = D // self.ramification
-        return [((self.offset + i) * step, c) for i, c in enumerate(self.coeffs) if c != 0]
+        k0, dk = self.offset * step, self.g * step
+        return [(k0 + j * dk, c) for j, c in enumerate(self.vals) if c != 0]
 
     # -- structure ---------------------------------------------------------
 
@@ -266,12 +360,13 @@ class PuiseuxSeries(FrozenRecord):
 
     def terms(self) -> Iterator[tuple[Fraction, Coeff]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        for i, c in enumerate(self.coeffs):
+        off, g, D = self.offset, self.g, self.ramification
+        for j, c in enumerate(self.vals):
             if c != 0:
-                yield self.exponent(i), c
+                yield Fraction(off + j * g, D), c
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.vals)
 
     def lead(self) -> Fraction | None:
         """Smallest exponent carrying a nonzero coefficient, None for the zero series."""
@@ -288,21 +383,26 @@ class PuiseuxSeries(FrozenRecord):
         if e >= self.order:
             raise BeyondTruncationError(f"exponent {e} is not below the known order {self.order}")
         i = e * self.ramification - self.offset
-        if i.denominator != 1 or i < 0 or i >= len(self.coeffs):
+        if i.denominator != 1 or i < 0:
             return _zero_of(self.domain)
-        return self.coeffs[int(i)]
+        j, r = divmod(int(i), self.g)
+        if r or j >= len(self.vals):
+            return _zero_of(self.domain)
+        return self.vals[j]
 
     def _step(self) -> int:
         """The gcd spacing, in slots, of the nonzero slots (1 when there are
-        fewer than two); computed once per series, in integers."""
+        fewer than two): g unless a stored slot holds a zero value; computed
+        once per series, in integers."""
         try:
             return self._step_cache
         except AttributeError:
             pass
-        idx = [i for i, c in enumerate(self.coeffs) if c]
-        g = gcd(*[i - idx[0] for i in idx[1:]]) if len(idx) > 1 else 1
-        object.__setattr__(self, "_step_cache", g)
-        return g
+        nz = [j for j, c in enumerate(self.vals) if c]
+        h = gcd(*[j - nz[0] for j in nz]) if nz else 0
+        step = self.g * h if h else 1
+        object.__setattr__(self, "_step_cache", step)
+        return step
 
     def _float_view(self) -> tuple[tuple, tuple]:
         """(exps, cs), computed once per series on its first evaluation:
@@ -312,9 +412,9 @@ class PuiseuxSeries(FrozenRecord):
             return self._float_cache
         except AttributeError:
             pass
-        off, D = self.offset, self.ramification
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        view = (tuple([(off + i) / D for i, _ in nz]), tuple([complex(c) for _, c in nz]))
+        off, g, D = self.offset, self.g, self.ramification
+        nz = [(j, c) for j, c in enumerate(self.vals) if c]
+        view = (tuple([(off + j * g) / D for j, _ in nz]), tuple([complex(c) for _, c in nz]))
         object.__setattr__(self, "_float_cache", view)
         return view
 
@@ -327,9 +427,8 @@ class PuiseuxSeries(FrozenRecord):
     def to_complex(self) -> "PuiseuxSeries":
         if self.domain == COMPLEX:
             return self
-        return PuiseuxSeries(self.ramification, self.offset,
-                             tuple(complex(c) for c in self.coeffs),
-                             self.order, COMPLEX)
+        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
+                                           [complex(c) for c in self.vals], self.order, COMPLEX)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -343,8 +442,8 @@ class PuiseuxSeries(FrozenRecord):
 
     def __neg__(self) -> "PuiseuxSeries":
         _require_exact(self)
-        return PuiseuxSeries(self.ramification, self.offset,
-                             tuple(-c for c in self.coeffs), self.order, EXACT)
+        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
+                                           [-c for c in self.vals], self.order)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
@@ -355,8 +454,8 @@ class PuiseuxSeries(FrozenRecord):
         c = _canon(c)
         if c == 0:
             return PuiseuxSeries.zero(self.order)
-        cs = tuple(_canon(c * x) for x in self.coeffs)
-        return PuiseuxSeries(self.ramification, self.offset, cs, self.order, EXACT)
+        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
+                                           [_canon(c * x) for x in self.vals], self.order)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -365,22 +464,27 @@ class PuiseuxSeries(FrozenRecord):
         order = min(self.order + other._lead_or_order(),
                     other.order + self._lead_or_order())
         D = lcm(self.ramification, other.ramification, order.denominator)
-        top = math.ceil(order * D)
-        a, b = self._slots(D), other._slots(D)
+        # the operands' lattices on grid D, and the product lattice base + G*Z
+        pa, pb = D // self.ramification, D // other.ramification
+        G = gcd(self.g * pa, other.g * pb)
+        qa, qb = self.g * pa // G, other.g * pb // G
+        a = [(j * qa, c) for j, c in enumerate(self.vals) if c]
+        b = [(j * qb, c) for j, c in enumerate(other.vals) if c]
         if not a or not b:
             return PuiseuxSeries.zero(order)
         # integer numerators over one common denominator per operand
         da, a = _over_common_den(a)
         db, b = _over_common_den(b)
-        base = a[0][0] + b[0][0]
-        acc = [0] * max(0, top - base)
-        for ka, x in a:
-            lim, i = top - ka, ka - base
-            for kb, y in b:
-                if kb >= lim:
+        base = self.offset * pa + other.offset * pb
+        m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
+        acc = [0] * m
+        for ia, x in a:
+            lim = m - ia
+            for ib, y in b:
+                if ib >= lim:
                     break
-                acc[i + kb] += x * y
-        return PuiseuxSeries._pack(acc, base, D, order, EXACT, da * db)
+                acc[ia + ib] += x * y
+        return PuiseuxSeries._pack(acc, base, G, D, order, EXACT, da * db)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if not isinstance(n, int) or n < 0:
@@ -394,32 +498,33 @@ class PuiseuxSeries(FrozenRecord):
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
 
-        Runs the triangular recurrence only for m on the support lattice gZ,
-        g = support_step() in slots (24 for eta on its 1/24 grid): every
-        other coefficient of the inverse is zero.  The coefficients are
-        written as integers n_k over a common denominator d, and the
-        recurrence c_0 = 1, c_m = -sum_k n_k n_0^(k-1) c_{m-k} runs in
-        integers (k, m counted in lattice steps), so that
-        b_m = d c_m / n_0^(m+1).
+        Runs the triangular recurrence on the support lattice gZ,
+        g = support_step() in slots (24 for eta on its 1/24 grid), and stores
+        the inverse there: every other coefficient of the inverse is zero.
+        The coefficients are written as integers n_k over a common
+        denominator d, and the recurrence c_0 = 1,
+        c_m = -sum_k n_k n_0^(k-1) c_{m-k} runs in integers (k, m counted in
+        lattice steps), so that b_m = d c_m / n0^(m+1).
         """
         _require_exact(self)
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
+        nz = [(j, c) for j, c in enumerate(self.vals) if c]
         if not nz:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
-        D = self.ramification
-        i0 = nz[0][0]
-        lead = self.exponent(i0)
+        D, q = self.ramification, self.g
+        j0 = nz[0][0]
+        lead = Fraction(self.offset + j0 * q, D)
         # a = a0 q^lead (1 + u); b = a^{-1} known modulo order - 2*lead
         order = self.order - 2 * lead
-        off = -(self.offset + i0)
+        off = -(self.offset + j0 * q)
         n = _slot_count(order, D, off)
         g = self._step()
         d, nums = _over_common_den(nz)
         n0 = nums[0][1]
-        tail = [(i - i0, x * n0 ** ((i - i0) // g - 1)) for i, x in nums[1:]]
-        b = [0] * n
+        tail = [((j - j0) * q // g, x) for j, x in nums[1:]]  # in steps of g slots
+        tail = [(k, x * n0 ** (k - 1)) for k, x in tail]
+        b = [0] * (-(-n // g) if tail else 1)
         b[0] = 1
-        for m in range(g, n, g):
+        for m in range(1, len(b)):
             s = 0
             for k, w in tail:
                 if k > m:
@@ -427,26 +532,24 @@ class PuiseuxSeries(FrozenRecord):
                 s += w * b[m - k]
             b[m] = -s
         if (d, n0) != (1, 1):
-            b = [_ratio(d * c, n0 ** (m // g + 1)) if c else 0 for m, c in enumerate(b)]
-        return PuiseuxSeries(D, off, tuple(b), order, EXACT)
+            b = [_ratio(d * c, n0 ** (m + 1)) if c else 0 for m, c in enumerate(b)]
+        return PuiseuxSeries._from_lattice(D, off, g, b, order)
 
     def q_d_dq(self) -> "PuiseuxSeries":
         """The derivation q d/dq, i.e. (2 pi i)^{-1} d/dtau: c q^e -> c e q^e."""
         _require_exact(self)
-        D = self.ramification
-        cs = tuple(_ratio(c.numerator * (self.offset + i), c.denominator * D) if c else 0
-                   for i, c in enumerate(self.coeffs))
-        return PuiseuxSeries(D, self.offset, cs, self.order, EXACT)
+        D, off, g = self.ramification, self.offset, self.g
+        vals = [_ratio(c.numerator * (off + j * g), c.denominator * D) if c else 0
+                for j, c in enumerate(self.vals)]
+        return PuiseuxSeries._from_lattice(D, off, g, vals, self.order)
 
     def _regrid(self, D: int, off: int, order: Fraction, p: int = 1) -> "PuiseuxSeries":
         """Our slot i placed at slot i*p of the grid with ramification D,
         offset off and the given order; slots that fall at or beyond the order
-        are dropped."""
-        n = _slot_count(order, D, off)
-        m = min(len(self.coeffs), -(-n // p))  # the slots i with i*p < n
-        cs = [_zero_of(self.domain)] * n
-        cs[:m * p:p] = self.coeffs[:m]
-        return PuiseuxSeries(D, off, tuple(cs), order, self.domain)
+        are dropped.  The lattice step becomes g*p."""
+        gp = self.g * p
+        m = -(-_slot_count(order, D, off) // gp)  # the j with j*g*p below the order
+        return PuiseuxSeries._from_lattice(D, off, gp, self.vals[:m], order, self.domain)
 
     def rescale(self, r: RationalLike) -> "PuiseuxSeries":
         """Exponent map q^e -> q^{re}, realizing tau -> r*tau; order becomes r*order."""
@@ -465,20 +568,21 @@ class PuiseuxSeries(FrozenRecord):
             return self
         # the phase of slot i is r/M, r = (offset + i) * s.numerator mod M
         M = self.ramification * s.denominator
-        cs = list(self.coeffs)
-        for i, c in enumerate(self.coeffs):
+        off, g = self.offset, self.g
+        vals = list(self.vals)
+        for j, c in enumerate(vals):
             if c == 0:
                 continue
-            r = (self.offset + i) * s.numerator % M
+            r = (off + j * g) * s.numerator % M
             if r == 0:
                 continue
             if 2 * r == M:
-                cs[i] = -c
+                vals[j] = -c
             else:
                 raise DomainPromotionRequired(
                     f"multiplier e^(2 pi i {Fraction(r, M)}) is irrational; "
                     "exact coefficients are rational")
-        return PuiseuxSeries(self.ramification, self.offset, tuple(cs), self.order, EXACT)
+        return PuiseuxSeries._from_lattice(self.ramification, off, g, vals, self.order)
 
     def shifted(self, delta: RationalLike) -> "PuiseuxSeries":
         """Multiply by the monomial q^delta (exponent translation)."""
@@ -552,14 +656,14 @@ class PuiseuxSeries(FrozenRecord):
 
     def to_json_dict(self) -> dict:
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.vals):
             if c == 0:
                 continue
             if self.domain == EXACT:
                 coeff = {"num": c.numerator, "den": c.denominator}
             else:
                 coeff = {"re": c.real, "im": c.imag}
-            terms.append({"i": i, "coeff": coeff})
+            terms.append({"i": j * self.g, "coeff": coeff})
         return {
             "ramification": self.ramification,
             "offset": self.offset,
@@ -573,11 +677,14 @@ class PuiseuxSeries(FrozenRecord):
         order = Fraction(d["order"]["num"], d["order"]["den"])
         domain = d["domain"]
         D, off = d["ramification"], d["offset"]
-        cs = [_zero_of(domain)] * _slot_count(order, D, off)
+        n = _slot_count(order, D, off)
+        values = {}
         for t in d["terms"]:
-            c = t["coeff"]
-            cs[t["i"]] = _ratio(c["num"], c["den"]) if domain == EXACT else complex(c["re"], c["im"])
-        return PuiseuxSeries(D, off, tuple(cs), order, domain)
+            i, c = t["i"], t["coeff"]
+            if not 0 <= i < n:
+                raise SeriesError(f"term index {i} is not below the {n} slots of order {order}")
+            values[i] = _ratio(c["num"], c["den"]) if domain == EXACT else complex(c["re"], c["im"])
+        return PuiseuxSeries._from_lattice(D, off, *_spread(values, domain), order, domain)
 
     def __str__(self):
         parts = [f"{c}*q^({e})" for e, c in self.terms()]

@@ -59,13 +59,14 @@ def eisenstein(k: int, order) -> PuiseuxSeries:
     if k < 2 or k % 2 != 0:
         raise ValueError("Eisenstein series is defined here for even k >= 2")
     order = Fraction(order)
-    fact = Fraction(math.factorial(k - 1))
-    terms = [(Fraction(0), -bernoulli_number(k) / math.factorial(k))]
-    n = 1
-    while n < order:
-        terms.append((Fraction(n), 2 * divisor_sigma(k - 1, n) / fact))
-        n += 1
-    return PuiseuxSeries.from_terms(terms, order)
+    # integer numerators over den on the grid of the order's denominator
+    D = order.denominator
+    const = -bernoulli_number(k) / math.factorial(k)
+    den = lcm(const.denominator, math.factorial(k - 1))
+    scale = 2 * (den // math.factorial(k - 1))
+    terms = [(0, const.numerator * (den // const.denominator))]
+    terms += [(n * D, scale * divisor_sigma(k - 1, n)) for n in range(1, math.ceil(order))]
+    return PuiseuxSeries.from_slots(terms, D, order, den=den)
 
 
 class TwistParams(FrozenRecord):
@@ -172,13 +173,14 @@ def euler_product(order) -> PuiseuxSeries:
     nonzero terms below order N and no series multiplication.
     """
     order = Fraction(order)
+    D = order.denominator  # integer exponents on the grid of the order
     terms = [(0, 1)]
     k = 1
     while k * (3 * k - 1) // 2 < order:
         sign = -1 if k % 2 else 1
-        terms += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        terms += [(k * (3 * k - 1) // 2 * D, sign), (k * (3 * k + 1) // 2 * D, sign)]
         k += 1
-    return PuiseuxSeries.from_terms(terms, order)
+    return PuiseuxSeries.from_slots(terms, D, order)
 
 
 def distinct_parts_product(order) -> PuiseuxSeries:
@@ -222,17 +224,10 @@ def jacobi_theta(which: int, order) -> PuiseuxSeries:
     if which not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1, 2, 3 or 4")
     order = Fraction(order)
-    half_shift = which in (1, 2)  # exponent (n - 1/2)^2 / 2, else n^2 / 2
+    half_shift = which in (1, 2)  # exponent (2n - 1)^2 / 8, else n^2 / 2
     alternating = _THETA_SIGNS[which]
+    D = lcm(8 if half_shift else 2, order.denominator)
     N = math.isqrt(max(0, math.ceil(2 * order))) + 3
-    terms = []
-    for n in range(-N, N + 1):
-        if half_shift:
-            e = Fraction((2 * n - 1) ** 2, 8)
-        else:
-            e = Fraction(n * n, 2)
-        if e >= order:
-            continue
-        c = Fraction(-1 if (alternating and n % 2) else 1)
-        terms.append((e, c))
-    return PuiseuxSeries.from_terms(terms, order, ramification=8 if half_shift else 2)
+    terms = [(((2 * n - 1) ** 2 * D) // 8 if half_shift else (n * n * D) // 2,
+              -1 if (alternating and n % 2) else 1) for n in range(-N, N + 1)]
+    return PuiseuxSeries.from_slots(terms, D, order)

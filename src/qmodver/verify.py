@@ -152,23 +152,36 @@ def _exact_rows(rows) -> list[CheckReport]:
     return reports
 
 
-def _numeric_law(name: str, sides, points, tol: float, residual) -> CheckReport:
+# Every series the package builds either vanishes identically (theta1,
+# character (0,0), Q_k for odd k under a real twist) or has a nonzero term at
+# an exponent of at most this bound, so a side that is zero below a higher
+# order vanishes identically, and no order makes its law say anything.
+_LEAD_BOUND = 1
+
+
+def _numeric_law(name: str, sides: dict, points, tol: float, residual) -> CheckReport:
     """The numeric pass rule over the sample points.
 
     `residual(tau)` returns (residual, tail bound, extra detail fields) of a
-    law between the series `sides`; the law passes when every residual is
-    below tol and every tail below tol/10.  A side with no nonzero term below
-    its order has value 0 and tail 0 at every tau, so such a law is reported
-    as insufficient order instead, after the points are evaluated (a point
-    where a side does not converge still aborts the suite).
+    law between the series `sides` (label -> series); the law passes when
+    every residual is below tol and every tail below tol/10.  A side with no
+    nonzero term below its order has value 0 and tail 0 at every tau, so such
+    a law fails instead, after the points are evaluated (a point where a side
+    does not converge still aborts the suite): as a degenerate law naming
+    the vanishing sides when each is zero below an order above _LEAD_BOUND,
+    else as insufficient order.
     """
-    order = min(s.order for s in sides)
+    order = min(s.order for s in sides.values())
     details = []
     for tau in points:
         tau = complex(tau)
         res, tail, extra = residual(tau)
         details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail, **extra})
-    if any(s.is_zero() for s in sides):
+    vanishing = [label for label, s in sides.items() if s.is_zero()]
+    if vanishing and all(sides[label].order > _LEAD_BOUND for label in vanishing):
+        return CheckReport(name, "numeric", False, order,
+                           details=[{"error": "degenerate law", "vanishing": vanishing}])
+    if vanishing:
         return _insufficient_order(name, order, "a nonzero term on each side", kind="numeric")
     max_res = max(d["residual"] for d in details)
     max_tail = max(d["tail"] for d in details)
@@ -187,7 +200,7 @@ def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
                 lhs.tail_estimate + abs(factor) * rhs.tail_estimate,
                 {"tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
 
-    return _numeric_law(name, (f, g), spec.sample_points, spec.tolerance, residual)
+    return _numeric_law(name, {"lhs": f, "rhs": g}, spec.sample_points, spec.tolerance, residual)
 
 
 def closure_scan(sector: SectorPair, gamma: ModularMatrix, sample_points,
@@ -289,8 +302,8 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
         tail = lhs.tail_estimate + e1.tail_estimate + e2.tail_estimate + e3.tail_estimate
         return abs(lhs.value - rhs), tail, {}
 
-    rep = _numeric_law("eta-half-argument-law", (half, eta), (2j,), _given(tol, 1e-9),
-                       half_residual)
+    rep = _numeric_law("eta-half-argument-law", {"lhs": half, "rhs": eta}, (2j,),
+                       _given(tol, 1e-9), half_residual)
     rep.details.append({"note": "left side is the q-expansion of "
                                 "e^{-i pi/24} eta((tau+1)/2); the pointwise "
                                 "principal branch carries that extra phase"})
@@ -356,7 +369,7 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
         tail = (lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau)
         return abs(const - predicted), tail, {}
 
-    rep = _numeric_law("E2-S-defect-constancy", (e2,), (2j, 3j), tolerance,
+    rep = _numeric_law("E2-S-defect-constancy", {"E2": e2}, (2j, 3j), tolerance,
                        defect_residual)
     rep.details.append({"predicted_defect_over_tau": [predicted.real, predicted.imag],
                         "measured_defect_over_tau": measured,

@@ -1,18 +1,21 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmodver import lattice, specfun
+from qmodver import cli, lattice, specfun
 from qmodver.modgroup import SectorPair
 from qmodver.series import (COMPLEX, EXACT, BeyondTruncationError,
                             DomainPromotionRequired, EvalResult,
                             InsufficientConvergence, NonInvertibleError,
                             NotInUpperHalfPlane, PuiseuxSeries, SeriesError,
                             WrongDomainError)
+from qmodver.verify import run_suite
 
 
 def geom(order=10):
@@ -543,3 +546,103 @@ def test_support_cache_changes_no_observable(build):
     assert warm.invert().to_json_dict() == build().invert().to_json_dict() \
         == dense_invert(build()).to_json_dict()
     assert cold.to_complex().evaluate(1 + 2j) == warm.to_complex().evaluate(1 + 2j)
+
+
+# -- the stored form: the support lattice behind the dense view ---------------
+
+def domain_zero(domain):
+    return 0 if domain == EXACT else 0j
+
+
+def is_domain_zero(c, domain):
+    """The one value a slot off the stored lattice holds: int 0 or 0j."""
+    z = domain_zero(domain)
+    return type(c) is type(z) and repr(c) == repr(z)
+
+
+EXACT_VALUES = [0, F(0), 1, -2, 7, F(1, 3), F(-5, 2), F(4)]
+COMPLEX_VALUES = [0j, -0j, complex(-0.0, 0.0), 0, 3, 1 + 2j, -0.5j, 2.5]
+
+
+@st.composite
+def dense_fields(draw):
+    """The five dense fields, mostly on a sparse lattice, with stored zeros
+    (Fraction(0), -0j, an int 0 in a complex series) mixed in."""
+    D = draw(st.sampled_from([1, 2, 8, 24]))
+    domain = draw(st.sampled_from([EXACT, COMPLEX]))
+    off = draw(st.integers(min_value=-2 * D, max_value=2 * D))
+    n = draw(st.integers(min_value=0, max_value=3 * D))
+    order = F(off + n, D) - draw(st.sampled_from([F(0), F(1, 2 * D), F(1, 5 * D)]))
+    step = draw(st.sampled_from([1, 2, 3, 5, 24]))
+    values = st.sampled_from(EXACT_VALUES if domain == EXACT else COMPLEX_VALUES)
+    zero = domain_zero(domain)
+    cs = tuple(draw(values) if i % step == 0 or draw(st.integers(0, 9)) == 0 else zero
+               for i in range(n))
+    return D, off, cs, order, domain
+
+
+def numerically_equal_variant(draw, fields):
+    """Same dense fields, each zero swapped for another zero of its domain and,
+    sometimes, one coefficient changed."""
+    D, off, cs, order, domain = fields
+    zeros = st.sampled_from([0, F(0)] if domain == EXACT else [0j, -0j, 0, complex(-0.0, -0.0)])
+    cs = [draw(zeros) if c == 0 else c for c in cs]
+    if cs and draw(st.booleans()):
+        i = draw(st.integers(0, len(cs) - 1))
+        cs[i] = cs[i] + 1
+    return D, off, tuple(cs), order, domain
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_fields(), st.data())
+def test_stored_form_round_trips_the_dense_fields(fields, data):
+    D, off, cs, order, domain = fields
+    s = PuiseuxSeries(*fields)
+    # the dense view and repr are the tuple given, value for value and type for type
+    assert repr(s.coeffs) == repr(cs)
+    assert repr(s) == (f"PuiseuxSeries(ramification={D!r}, offset={off!r}, coeffs={cs!r}, "
+                       f"order={order!r}, domain={domain!r})")
+    # the stored lattice: the gcd of the stored indices, cut after the last one
+    stored = [i for i, c in enumerate(cs) if not is_domain_zero(c, domain)]
+    assert s.g == (math.gcd(*stored) or 1)
+    assert repr(s.vals) == repr(cs[:stored[-1] + 1:s.g] if stored else ())
+    for copied in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert copied == s and hash(copied) == hash(s) and repr(copied) == repr(s)
+    # == and hash agree with a comparison of the five dense fields
+    other = numerically_equal_variant(data.draw, fields)
+    t = PuiseuxSeries(*other)
+    assert (s == t) == (fields == other)
+    if fields == other:
+        assert hash(s) == hash(t)
+
+
+def test_no_code_under_src_reads_the_dense_view(monkeypatch, capsys):
+    """Every suite, the golden digests and the expand/char JSON run with
+    `coeffs` raising: the kernels read the stored lattice only."""
+    from test_golden import BUILDERS, GOLDEN, ORDER, digest
+
+    commands = [["expand", "--series", name, "--order", "30", "--format", fmt]
+                for name in ("eta", "theta2", "theta3", "E4", "Q2:1,2,0,1", "Q1:0,1,1,3",
+                             "char:1,0") for fmt in ("json", "text")]
+    commands += [["char", "--pair", pair, "--format", "json"] for pair in ("0,1", "1,1", "1,0")]
+
+    def outputs():
+        out = []
+        for argv in commands:
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    dense = outputs()
+
+    def no_dense_reads(self):
+        raise AssertionError("a kernel read the dense coefficient view")
+
+    monkeypatch.setattr(PuiseuxSeries, "coeffs", property(no_dense_reads))
+    with pytest.raises(AssertionError, match="dense coefficient view"):
+        PuiseuxSeries.one(3).coeffs
+    reports, status = run_suite("all")
+    assert status == 0 and len(reports) == len(GOLDEN["suite_default"]["verdicts"])
+    for name, build in BUILDERS.items():
+        assert digest(build(ORDER)) == GOLDEN["digests"][name], name
+    assert outputs() == dense

@@ -303,6 +303,46 @@ class TestCli:
         assert capsys.readouterr().out.startswith(
             "FAIL  [numeric] transform-theta1-gamma(0, -1, 1, 0)-theta1\n")
 
+    @pytest.mark.parametrize("lhs, rhs, vanishing", [
+        ("theta1", "theta1", ["lhs", "rhs"]),
+        ("char:0,0", "E4", ["lhs"]),
+        ("E4", "theta1", ["rhs"])])
+    def test_identically_vanishing_side_makes_a_degenerate_law(self, capsys, lhs, rhs,
+                                                                vanishing):
+        # theta1 and character (0,0) are zero at every order (see the
+        # identities suite): no order helps, so the law is degenerate
+        assert cli.main(["transform", "--gamma", "0,-1,1,0", "--weight", "4",
+                         "--lhs", lhs, "--rhs", rhs, "--tau", "0,2", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["passed"] and doc["max_residual"] is None
+        assert doc["details"] == [{"error": "degenerate law", "vanishing": vanishing}]
+
+    def test_every_built_series_vanishes_or_has_a_term_at_most_q1(self):
+        # the premise of the degenerate-law rule, over the CLI's vocabulary
+        specs = ["eta", "theta1", "theta2", "theta3", "theta4", "E2", "E4", "E6", "E12"]
+        specs += [f"char:{i},{j}" for i in (0, 1) for j in (0, 1)]
+        specs += [f"Q{k}:{j},{T},{l},{T1}" for k in range(6) for T in (1, 2, 3, 4)
+                  for T1 in (1, 2, 3, 4) for j in range(T) for l in range(T1)
+                  if k == 0 or (j, l) != (0, 0)]
+        for spec in specs:
+            s = cli.build_series(spec, F(6))
+            assert s.is_zero() or s.lead() <= 1, spec
+
+    def test_side_truncated_to_nothing_reports_insufficient_order(self, capsys):
+        # E4 below order 0 keeps no term, but it has one at q^0
+        assert cli.main(["check", "--suite", "eisenstein", "--order", "0",
+                         "--format", "json"]) == 1
+        docs = {d["name"]: d for d in map(json.loads, capsys.readouterr().out.splitlines())}
+        for name in ("E4-S-modularity", "E6-S-modularity", "E2-S-defect-constancy"):
+            assert docs[name]["details"][0] == {"error": "insufficient order", "have": "0",
+                                                "need": "a nonzero term on each side"}
+        # at an order of at most 1 a zero side may only be truncated
+        assert cli.main(["transform", "--gamma", "0,-1,1,0", "--weight", "4", "--lhs", "E4",
+                         "--rhs", "theta1", "--tau", "0,2", "--order", "1",
+                         "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["details"][0]["error"] == "insufficient order"
+
     def test_convergence_exit(self, capsys):
         # tau with tiny imaginary part: |q|^step too close to 1
         code = cli.main(["transform", "--gamma", "1,1,0,1", "--weight", "0",
