@@ -26,6 +26,9 @@ EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 # the largest --order accepted; exact builds grow about quadratically in it
 MAX_ORDER = 10 ** 4
+# the largest weight k of E<k> and Q<k>; Q<k> also needs order * T <= 24 * MAX_ORDER,
+# since it builds about order * T terms on the 1/T grid
+MAX_WEIGHT = 400
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -72,6 +75,13 @@ def parse_int_list(text: str, n: int, what: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{what}: non-integer entry in {text!r}") from exc
 
 
+def parse_weight(name: str) -> int:
+    k = int(name[1:])
+    if k > MAX_WEIGHT:
+        raise SeriesError(f"{name[0]}<k> weight must be at most {MAX_WEIGHT}, got {k}")
+    return k
+
+
 def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> PuiseuxSeries:
     """Series vocabulary: eta, theta1..4, E<k>, Q<k>[:j,T,l,T1], char:i,j."""
     name, _, arg = spec_text.partition(":")
@@ -80,13 +90,16 @@ def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> P
     if name.startswith("theta") and name[5:] in ("1", "2", "3", "4"):
         return specfun.jacobi_theta(int(name[5:]), order)
     if name.startswith("E") and name[1:].isdigit():
-        return specfun.eisenstein(int(name[1:]), order)
+        return specfun.eisenstein(parse_weight(name), order)
     if name.startswith("Q") and name[1:].isdigit():
+        k = parse_weight(name)
         twist_text = arg or twist
         if not twist_text:
             raise SeriesError(f"{name} needs a twist j,T,l,T1 (--twist or {name}:j,T,l,T1)")
         j, T, l, T1 = parse_int_list(twist_text, 4, "twist")
-        return specfun.q_twisted(int(name[1:]), specfun.TwistParams(j, T, l, T1), order)
+        if order * T > 24 * MAX_ORDER:
+            raise SeriesError(f"{name} needs order * T <= {24 * MAX_ORDER}, got {order * T}")
+        return specfun.q_twisted(k, specfun.TwistParams(j, T, l, T1), order)
     if name == "char":
         if not arg:
             raise SeriesError("char needs sector indices, e.g. char:0,1")

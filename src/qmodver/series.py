@@ -5,16 +5,17 @@ known modulo q^order: every retained exponent is strictly below `order`, and
 operations propagate the sharpest order they can justify rather than a fixed
 global truncation.  All values are immutable and all operations are pure.
 
-A series is stored on its support lattice: `vals[j]` is the coefficient of
-slot offset + j*g, and every other slot below the order holds the domain's
-zero.  The step g is the gcd of the stored slot indices, so eta (exponents
-1/24 + integers on the 1/24 grid) keeps one value per integer, not 24, and
-the characters one in 12.  `coeffs` is the dense view, one value per slot,
-built on demand for readers outside the package; no kernel reads it.
+A series is stored in one canonical form, on its support lattice: the
+offset is the first nonzero slot, `vals[j]` is the coefficient of slot
+offset + j*g up to the last nonzero slot, every other slot below the order
+holds the domain's zero, and g is the gcd spacing of the nonzero slots.  So
+eta (exponents 1/24 + integers on the 1/24 grid) keeps one value per integer,
+not 24, and the characters one in 12.  `coeffs` is the dense view, one value
+per slot, built on demand for readers outside the package; no kernel reads it.
 
 Exact-domain coefficients are canonical: an `int` when the value is integral,
-a `fractions.Fraction` otherwise (every operation returns canonical
-coefficients and accepts any mix of the two).
+a `fractions.Fraction` otherwise, whatever mix of the two a constructor is
+given.
 
 Complex-domain series (python `complex` coefficients with finite components)
 are evaluation-only: they can be built, serialized, read, regridded
@@ -38,7 +39,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from math import gcd, lcm
 from operator import add
 from typing import Iterator, NamedTuple, Union
@@ -94,23 +94,11 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-_EXACT_TYPES = (int, Fraction)
 _COMPLEX_ZERO = complex(0.0)  # one object, so every zero slot of a series is the same
 
 
 def _zero_of(domain: str) -> Coeff:
     return 0 if domain == EXACT else _COMPLEX_ZERO
-
-
-def _stored(v, domain: str) -> bool:
-    """Whether v differs from the domain's zero (int 0, or 0j with positive
-    zeros) in value, type or sign: a Fraction(0), a -0j or an int in a
-    complex series keeps its slot, so the dense view keeps its repr."""
-    if v:
-        return True
-    if domain == EXACT:
-        return type(v) is not int
-    return type(v) is not complex or repr(v) != "0j"
 
 
 def _canon(c) -> Coeff:
@@ -181,19 +169,18 @@ class PuiseuxSeries(FrozenRecord):
     """The coefficient of q^((offset + i)/ramification), for every slot i below
     order, is vals[i // g] when g divides i and the domain's zero otherwise.
 
-    The stored form (ramification, offset, g, vals, order, domain) is
-    canonical: g is the gcd of the indices i of the slots whose value is not
-    the domain's zero (1 when no such slot lies above the offset), and vals
-    ends at the last such slot.  `coeffs` is the dense tuple over every slot.  Equality
-    and hashing read the stored form with each zero value taken as the
-    domain's zero, so they agree with a comparison of the dense tuples; repr
-    and pickling show the dense fields.  `_step_cache` and `_float_cache` are
-    private caches, filled on first use.
+    `_store`, the one place that canonicalizes, makes the stored form
+    (ramification, offset, g, vals, order, domain) the value: canonical exact
+    or finite complex values with one shared complex zero, vals from the
+    first to the last nonzero slot (empty for a zero series, which keeps its
+    offset), g the gcd spacing of the nonzero slots (1 when there are fewer
+    than two).  So `==`, hashing, `lead`, `is_zero` and `support_step` read
+    fields.  `coeffs` is the dense tuple over every slot; repr and pickling
+    show the dense fields.  `_float_cache` is filled on first evaluation.
     """
 
     _fields = ("ramification", "offset", "coeffs", "order", "domain")
-    __slots__ = ("ramification", "offset", "g", "vals", "order", "domain",
-                 "_step_cache", "_float_cache")
+    __slots__ = ("ramification", "offset", "g", "vals", "order", "domain", "_float_cache")
 
     def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
                  domain: str):
@@ -201,9 +188,9 @@ class PuiseuxSeries(FrozenRecord):
 
     def _store(self, D: int, off: int, g: int, vals, order: Fraction, domain: str,
                dense: bool = False):
-        """Set the fields from vals on the lattice off + g*Z, coarsened to the
-        canonical form, after the checks of the dense constructor (dense:
-        vals is the dense tuple, whose length must be the slot count)."""
+        """Set the canonical fields from vals on the lattice off + g*Z, after
+        the checks of the dense constructor (dense: vals is the dense tuple,
+        whose length must be the slot count)."""
         if D < 1:
             raise SeriesError("ramification must be a positive integer")
         if domain not in (EXACT, COMPLEX):
@@ -213,33 +200,36 @@ class PuiseuxSeries(FrozenRecord):
             raise SeriesError(
                 f"coefficient list length {len(vals)} != {n} slots below order {order}")
         if domain == COMPLEX:
-            for c in vals:
-                _check_coeff(c, COMPLEX)
-        elif not all(map(isinstance, vals, repeat(_EXACT_TYPES))):
-            for c in vals:
-                _canon(c)  # raises on the first non-exact coefficient
-        last = len(vals) - 1
-        while last >= 0 and not _stored(vals[last], domain):
+            vals = [_check_coeff(c, COMPLEX) or _COMPLEX_ZERO for c in vals]
+        elif not set(map(type, vals)) <= {int}:
+            vals = [_canon(c) for c in vals]
+        first, last = 0, len(vals) - 1
+        while last >= 0 and not vals[last]:
             last -= 1
         if last * g >= n:
             raise SeriesError(f"a stored slot lies at or beyond the order {order}")
-        h = max(last, 1)  # the gcd of the stored indices j, early out at 1
-        for j in range(1, last):
+        while first < last and not vals[first]:
+            first += 1
+        h = max(last - first, 0)  # the gcd spacing of the nonzero slots, early out at 1
+        for j in range(first + 1, last):
             if h == 1:
                 break
-            if _stored(vals[j], domain):
-                h = gcd(h, j)
-        g = g * h if last > 0 else 1
-        for name, value in (("ramification", D), ("offset", off), ("g", g),
-                            ("vals", tuple(vals[:last + 1:h])), ("order", order),
+            if vals[j]:
+                h = gcd(h, j - first)
+        off += first * g
+        for name, value in (("ramification", D), ("offset", off), ("g", g * h or 1),
+                            ("vals", tuple(vals[first:last + 1:h or 1])), ("order", order),
                             ("domain", domain)):
             object.__setattr__(self, name, value)
 
     @staticmethod
     def _from_lattice(D: int, off: int, g: int, vals, order: Fraction,
-                      domain: str = EXACT) -> "PuiseuxSeries":
-        """The series whose slot off + j*g of the 1/D grid holds vals[j], and
-        every other slot below order the domain's zero."""
+                      domain: str = EXACT, den: int = 1) -> "PuiseuxSeries":
+        """The series whose slot off + j*g of the 1/D grid holds vals[j] (an
+        exact value over den, an integer numerator when den != 1), and every
+        other slot below order the domain's zero."""
+        if den != 1:
+            vals = [_ratio(v, den) if v else 0 for v in vals]
         s = object.__new__(PuiseuxSeries)
         s._store(D, off, g, vals, order, domain)
         return s
@@ -252,12 +242,7 @@ class PuiseuxSeries(FrozenRecord):
         return tuple(cs)
 
     def _key(self) -> tuple:
-        """The stored form rebuilt on the nonzero slots, so that a stored zero
-        (Fraction(0), -0j) compares and hashes as the domain's zero."""
-        nz = [j for j, c in enumerate(self.vals) if c]
-        h = gcd(*nz)  # 0 when no nonzero slot lies above the offset
-        g, vals = (self.g * h, self.vals[:nz[-1] + 1:h]) if h else (1, self.vals[:len(nz)])
-        return self.ramification, self.offset, g, vals, self.order, self.domain
+        return self.ramification, self.offset, self.g, self.vals, self.order, self.domain
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -327,25 +312,8 @@ class PuiseuxSeries(FrozenRecord):
         if not nonzero:
             return PuiseuxSeries.zero(order, domain)
         base = min(nonzero)
-        g, values = _spread({k - base: acc[k] for k in nonzero}, domain)
-        return PuiseuxSeries._pack(values, base, g, D, order, domain, den)
-
-    @staticmethod
-    def _pack(values: list, base: int, g: int, D: int, order: Fraction, domain: str,
-              den: int = 1) -> "PuiseuxSeries":
-        """The series whose coefficient at exponent (base + j*g)/D is values[j]
-        (over den in the exact domain), every other slot zero; the first
-        nonzero value becomes the offset."""
-        first = next((j for j, v in enumerate(values) if v != 0), None)
-        if first is None:
-            return PuiseuxSeries.zero(order, domain)
-        values = values[first:]
-        if domain == EXACT:
-            if den != 1:
-                values = [_ratio(v, den) if v else 0 for v in values]
-            elif not set(map(type, values)) <= {int}:
-                values = [_canon(v) for v in values]
-        return PuiseuxSeries._from_lattice(D, base + first * g, g, values, order, domain)
+        return PuiseuxSeries._from_lattice(
+            D, base, *_spread({k - base: acc[k] for k in nonzero}, domain), order, domain, den)
 
     def _slots(self, D: int) -> list:
         """Nonzero (k, coefficient) pairs, exponent k/D, on a grid D divisible by ours."""
@@ -366,13 +334,11 @@ class PuiseuxSeries(FrozenRecord):
                 yield Fraction(off + j * g, D), c
 
     def is_zero(self) -> bool:
-        return not any(self.vals)
+        return not self.vals
 
     def lead(self) -> Fraction | None:
         """Smallest exponent carrying a nonzero coefficient, None for the zero series."""
-        for e, _ in self.terms():
-            return e
-        return None
+        return Fraction(self.offset, self.ramification) if self.vals else None
 
     def _lead_or_order(self) -> Fraction:
         l = self.lead()
@@ -390,20 +356,6 @@ class PuiseuxSeries(FrozenRecord):
             return _zero_of(self.domain)
         return self.vals[j]
 
-    def _step(self) -> int:
-        """The gcd spacing, in slots, of the nonzero slots (1 when there are
-        fewer than two): g unless a stored slot holds a zero value; computed
-        once per series, in integers."""
-        try:
-            return self._step_cache
-        except AttributeError:
-            pass
-        nz = [j for j, c in enumerate(self.vals) if c]
-        h = gcd(*[j - nz[0] for j in nz]) if nz else 0
-        step = self.g * h if h else 1
-        object.__setattr__(self, "_step_cache", step)
-        return step
-
     def _float_view(self) -> tuple[tuple, tuple]:
         """(exps, cs), computed once per series on its first evaluation:
         exps[t] and cs[t] are the float exponent (offset + i)/D and complex(c)
@@ -420,15 +372,15 @@ class PuiseuxSeries(FrozenRecord):
 
     def support_step(self) -> Fraction:
         """Gcd spacing of the nonzero support (falls back to the full 1/D grid)."""
-        return Fraction(self._step(), self.ramification)
+        return Fraction(self.g, self.ramification)
 
     # -- domain handling ---------------------------------------------------
 
     def to_complex(self) -> "PuiseuxSeries":
         if self.domain == COMPLEX:
             return self
-        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
-                                           [complex(c) for c in self.vals], self.order, COMPLEX)
+        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g, self.vals,
+                                           self.order, COMPLEX)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -455,7 +407,7 @@ class PuiseuxSeries(FrozenRecord):
         if c == 0:
             return PuiseuxSeries.zero(self.order)
         return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
-                                           [_canon(c * x) for x in self.vals], self.order)
+                                           [c * x for x in self.vals], self.order)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -467,16 +419,14 @@ class PuiseuxSeries(FrozenRecord):
         # the operands' lattices on grid D, and the product lattice base + G*Z
         pa, pb = D // self.ramification, D // other.ramification
         G = gcd(self.g * pa, other.g * pb)
-        qa, qb = self.g * pa // G, other.g * pb // G
-        a = [(j * qa, c) for j, c in enumerate(self.vals) if c]
-        b = [(j * qb, c) for j, c in enumerate(other.vals) if c]
-        if not a or not b:
-            return PuiseuxSeries.zero(order)
-        # integer numerators over one common denominator per operand
-        da, a = _over_common_den(a)
-        db, b = _over_common_den(b)
         base = self.offset * pa + other.offset * pb
         m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
+        if m == 0 or not self.vals or not other.vals:
+            return PuiseuxSeries.zero(order)
+        # integer numerators over one common denominator per operand
+        qa, qb = self.g * pa // G, other.g * pb // G
+        da, a = _over_common_den([(j * qa, c) for j, c in enumerate(self.vals) if c])
+        db, b = _over_common_den([(j * qb, c) for j, c in enumerate(other.vals) if c])
         acc = [0] * m
         for ia, x in a:
             lim = m - ia
@@ -484,7 +434,7 @@ class PuiseuxSeries(FrozenRecord):
                 if ib >= lim:
                     break
                 acc[ia + ib] += x * y
-        return PuiseuxSeries._pack(acc, base, G, D, order, EXACT, da * db)
+        return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, da * db)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if not isinstance(n, int) or n < 0:
@@ -498,30 +448,25 @@ class PuiseuxSeries(FrozenRecord):
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
 
-        Runs the triangular recurrence on the support lattice gZ,
-        g = support_step() in slots (24 for eta on its 1/24 grid), and stores
-        the inverse there: every other coefficient of the inverse is zero.
+        Runs the triangular recurrence on the support lattice, step g slots
+        (24 for eta on its 1/24 grid), and stores the inverse there: every
+        other coefficient of the inverse is zero.
         The coefficients are written as integers n_k over a common
         denominator d, and the recurrence c_0 = 1,
         c_m = -sum_k n_k n_0^(k-1) c_{m-k} runs in integers (k, m counted in
         lattice steps), so that b_m = d c_m / n0^(m+1).
         """
         _require_exact(self)
-        nz = [(j, c) for j, c in enumerate(self.vals) if c]
-        if not nz:
+        if not self.vals:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
-        D, q = self.ramification, self.g
-        j0 = nz[0][0]
-        lead = Fraction(self.offset + j0 * q, D)
+        D, g = self.ramification, self.g
         # a = a0 q^lead (1 + u); b = a^{-1} known modulo order - 2*lead
-        order = self.order - 2 * lead
-        off = -(self.offset + j0 * q)
+        order = self.order - 2 * Fraction(self.offset, D)
+        off = -self.offset
         n = _slot_count(order, D, off)
-        g = self._step()
-        d, nums = _over_common_den(nz)
+        d, nums = _over_common_den([(j, c) for j, c in enumerate(self.vals) if c])
         n0 = nums[0][1]
-        tail = [((j - j0) * q // g, x) for j, x in nums[1:]]  # in steps of g slots
-        tail = [(k, x * n0 ** (k - 1)) for k, x in tail]
+        tail = [(k, x * n0 ** (k - 1)) for k, x in nums[1:]]  # k in steps of g slots
         b = [0] * (-(-n // g) if tail else 1)
         b[0] = 1
         for m in range(1, len(b)):
@@ -638,7 +583,7 @@ class PuiseuxSeries(FrozenRecord):
             raise NotInUpperHalfPlane(f"tau = {tau} is not finite")
         if tau.imag <= 0:
             raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} is not positive")
-        rho = math.exp(-2 * math.pi * tau.imag * (self._step() / self.ramification))
+        rho = math.exp(-2 * math.pi * tau.imag * (self.g / self.ramification))
         if rho >= 0.9:
             raise InsufficientConvergence(
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")

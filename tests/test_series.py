@@ -548,16 +548,19 @@ def test_support_cache_changes_no_observable(build):
     assert cold.to_complex().evaluate(1 + 2j) == warm.to_complex().evaluate(1 + 2j)
 
 
-# -- the stored form: the support lattice behind the dense view ---------------
+# -- the stored form: the canonical support lattice behind the dense view -----
 
 def domain_zero(domain):
     return 0 if domain == EXACT else 0j
 
 
-def is_domain_zero(c, domain):
-    """The one value a slot off the stored lattice holds: int 0 or 0j."""
-    z = domain_zero(domain)
-    return type(c) is type(z) and repr(c) == repr(z)
+def canonical(c, domain):
+    """The value the constructor stores for c: an int when integral, else a
+    Fraction; a complex with every zero as 0j."""
+    if domain == COMPLEX:
+        return complex(c) if c else 0j
+    c = F(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 EXACT_VALUES = [0, F(0), 1, -2, 7, F(1, 3), F(-5, 2), F(4)]
@@ -566,8 +569,9 @@ COMPLEX_VALUES = [0j, -0j, complex(-0.0, 0.0), 0, 3, 1 + 2j, -0.5j, 2.5]
 
 @st.composite
 def dense_fields(draw):
-    """The five dense fields, mostly on a sparse lattice, with stored zeros
-    (Fraction(0), -0j, an int 0 in a complex series) mixed in."""
+    """The five dense fields, mostly on a sparse lattice, with zeros of every
+    kind (Fraction(0), -0j, an int 0 in a complex series) mixed in, and
+    sometimes leading zeros before the first drawn slot."""
     D = draw(st.sampled_from([1, 2, 8, 24]))
     domain = draw(st.sampled_from([EXACT, COMPLEX]))
     off = draw(st.integers(min_value=-2 * D, max_value=2 * D))
@@ -578,7 +582,9 @@ def dense_fields(draw):
     zero = domain_zero(domain)
     cs = tuple(draw(values) if i % step == 0 or draw(st.integers(0, 9)) == 0 else zero
                for i in range(n))
-    return D, off, cs, order, domain
+    zeros = st.sampled_from([0, F(0)] if domain == EXACT else [0j, -0j, 0])
+    lead = tuple(draw(st.lists(zeros, max_size=2 * D)))
+    return D, off - len(lead), lead + cs, order, domain
 
 
 def numerically_equal_variant(draw, fields):
@@ -595,25 +601,68 @@ def numerically_equal_variant(draw, fields):
 
 @settings(max_examples=300, deadline=None)
 @given(dense_fields(), st.data())
-def test_stored_form_round_trips_the_dense_fields(fields, data):
+def test_constructor_stores_the_canonical_form(fields, data):
     D, off, cs, order, domain = fields
     s = PuiseuxSeries(*fields)
-    # the dense view and repr are the tuple given, value for value and type for type
-    assert repr(s.coeffs) == repr(cs)
-    assert repr(s) == (f"PuiseuxSeries(ramification={D!r}, offset={off!r}, coeffs={cs!r}, "
-                       f"order={order!r}, domain={domain!r})")
-    # the stored lattice: the gcd of the stored indices, cut after the last one
-    stored = [i for i, c in enumerate(cs) if not is_domain_zero(c, domain)]
-    assert s.g == (math.gcd(*stored) or 1)
-    assert repr(s.vals) == repr(cs[:stored[-1] + 1:s.g] if stored else ())
+    nonzero = [i for i, c in enumerate(cs) if c != 0]
+    first = nonzero[0] if nonzero else 0
+    # the dense view is the input from its first nonzero slot, value for value,
+    # in canonical types; a zero series keeps its offset
+    assert (s.ramification, s.offset, s.order, s.domain) == (D, off + first, order, domain)
+    assert repr(s.coeffs) == repr(tuple(canonical(c, domain) for c in cs[first:]))
+    # the stored lattice runs from the first to the last nonzero slot, step
+    # the gcd spacing of the nonzero slots
+    if nonzero:
+        assert s.vals[0] != 0 and s.vals[-1] != 0
+        assert s.g == (math.gcd(*[i - first for i in nonzero]) or 1)
+        assert repr(s.vals) == repr(s.coeffs[:nonzero[-1] - first + 1:s.g])
+    else:
+        assert (s.g, s.vals) == (1, ())
+    assert s.lead() == (F(off + first, D) if nonzero else None)
+    assert s.is_zero() == (not nonzero) and s.support_step() == F(s.g, D)
+    # the canonical form is a fixed point of the constructor
+    again = PuiseuxSeries(D, s.offset, s.coeffs, order, domain)
+    assert again == s and hash(again) == hash(s) and repr(again) == repr(s)
     for copied in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
         assert copied == s and hash(copied) == hash(s) and repr(copied) == repr(s)
-    # == and hash agree with a comparison of the five dense fields
+    # == and hash follow value equality of the five dense fields
     other = numerically_equal_variant(data.draw, fields)
     t = PuiseuxSeries(*other)
     assert (s == t) == (fields == other)
     if fields == other:
         assert hash(s) == hash(t)
+
+
+def test_equal_values_are_equal_series_whatever_their_offset():
+    a = PuiseuxSeries(1, 0, (0, 1), 2, EXACT)
+    b = PuiseuxSeries(1, 1, (1,), 2, EXACT)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    c = PuiseuxSeries(2, -1, (F(0), 0, F(3, 1), 0, F(1, 2)), F(4, 2), EXACT)
+    assert (c.offset, c.g, c.vals) == (1, 2, (3, F(1, 2)))
+    z = PuiseuxSeries(3, 2, (-0j, 0), F(4, 3), COMPLEX)
+    assert (z.offset, z.vals, z.lead()) == (2, (), None) and z.coeffs == (0j, 0j)
+
+
+def test_a_kernel_output_with_a_zero_lead_slot_moves_its_offset():
+    # E2 = -1/12 + 2q + 6q^2 + ...: q d/dq zeroes the constant slot
+    d = specfun.eisenstein(2, 3).q_d_dq()
+    assert (d.ramification, d.offset, d.coeffs) == (1, 1, (2, 12))
+    assert [d.coefficient_at(e) for e in (0, 1, 2)] == [0, 2, 12]
+    assert d.equals(PuiseuxSeries.from_terms([(1, 2), (2, 12)], 3))
+    assert d.equals(PuiseuxSeries(1, 0, (0, 2, 12), 3, EXACT))
+
+
+def test_a_json_document_whose_first_term_is_past_slot_zero_moves_its_offset():
+    doc = {"ramification": 2, "offset": -1, "order": {"num": 3, "den": 1}, "domain": EXACT,
+           "terms": [{"i": 2, "coeff": {"num": 5, "den": 1}},
+                     {"i": 4, "coeff": {"num": -1, "den": 3}}]}
+    s = PuiseuxSeries.from_json_dict(doc)
+    assert (s.offset, s.coeffs) == (-1 + 2, (5, 0, F(-1, 3), 0, 0))
+    assert list(s.terms()) == [(F(1, 2), 5), (F(3, 2), F(-1, 3))]
+    assert [s.coefficient_at(F(e, 2)) for e in range(-1, 6)] == [0, 0, 5, 0, F(-1, 3), 0, 0]
+    assert s.equals(PuiseuxSeries.from_terms([(F(1, 2), 5), (F(3, 2), F(-1, 3))], 3))
+    assert s.to_json_dict()["terms"] == [{"i": 0, "coeff": {"num": 5, "den": 1}},
+                                         {"i": 2, "coeff": {"num": -1, "den": 3}}]
 
 
 def test_no_code_under_src_reads_the_dense_view(monkeypatch, capsys):

@@ -469,7 +469,7 @@ _PAIRS = ["0,1", "0,2", "1,2", "0.5,1.5", "0,-1", "1,0", "nan,1", "0,inf", "1e30
 _MATRICES = ["1,0,0,1", "0,-1,1,0", "1,1,0,1", "1,0,2,1", "2,1,1,1", "1,2,3", "a,b,c,d"]
 _SERIES = ["eta", "theta1", "theta3", "theta5", "E2", "E4", "E3", "E0", "Q1", "Q0:0,1,0,1",
            "Q2:1,2,0,1", "Q2:0,1,1,3", "Q2:0,1,0,1", "Q2:x", "char:0,1", "char:1,1",
-           "char:2,0", "char", "bogus"]
+           "char:2,0", "char", "bogus", "E100000", "Q401:1,2,0,1", "Q1:1,1000000000,0,1"]
 _ORDERS = ["-1", "0", "1/3", "1/2", "1", "5/2", "8"]
 # above cli.MAX_ORDER only "10001" and "1e308", which must be rejected unbuilt
 _BAD_ORDERS = ["nan", "inf", "-inf", "x", "", "1/0", "1e-300", "-5/6", "10001", "1e308"]
@@ -505,6 +505,36 @@ def cli_argv(draw):
     if draw(st.booleans()):
         argv += ["--format", draw(_value(["text", "json"]))]
     return argv
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("E100000", "weight must be at most 400"),
+    ("Q401:1,2,0,1", "weight must be at most 400"),
+    ("Q1:1,1000000000,0,1", "needs order * T <= 240000"),
+])
+def test_weight_and_twist_order_caps_reject_before_building(spec, message, monkeypatch,
+                                                            capsys):
+    def unbuilt(*args):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(specfun, "eisenstein", unbuilt)
+    monkeypatch.setattr(specfun, "q_twisted", unbuilt)
+    assert cli.main(["expand", "--series", spec, "--order", "1"]) == cli.EXIT_USAGE
+    assert cli.main(["transform", "--gamma", "1,1,0,1", "--lhs", "eta", "--rhs", spec,
+                     "--tau", "0,2"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(message) == 2, err
+
+
+def test_caps_admit_their_bounds(monkeypatch):
+    built = []
+    monkeypatch.setattr(specfun, "eisenstein", lambda *args: built.append(args))
+    monkeypatch.setattr(specfun, "q_twisted", lambda *args: built.append(args))
+    cli.build_series(f"E{cli.MAX_WEIGHT}", F(20))
+    cli.build_series(f"Q{cli.MAX_WEIGHT}:1,2,0,1", F(20))
+    cli.build_series("Q2:1,24,0,1", F(cli.MAX_ORDER))  # order * T at its cap
+    cli.build_series("Q1:1,2,0,1000000000", F(1))  # T1 sets only lambda: uncapped
+    assert [a[0] for a in built] == [cli.MAX_WEIGHT, cli.MAX_WEIGHT, 2, 1]
 
 
 @settings(max_examples=150, deadline=None)
