@@ -108,18 +108,16 @@ def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> P
     raise SeriesError(f"unknown series spec {spec_text!r}")
 
 
-def emit_series(series: PuiseuxSeries, fmt: str, extra: dict | None = None,
-                out=None):
-    out = out if out is not None else sys.stdout
+def emit_series(series: PuiseuxSeries, fmt: str, extra: dict | None = None):
     if fmt == "json":
         doc = series.to_json_dict()
         if extra:
             doc.update(extra)
-        print(json.dumps(doc), file=out)
+        print(json.dumps(doc))
         return
     for e, c in series.terms():
-        print(f"{e}\t{c}", file=out)
-    print(f"# O(q^({series.order}))", file=out)
+        print(f"{e}\t{c}")
+    print(f"# O(q^({series.order}))")
 
 
 def print_reports(reports, fmt: str):

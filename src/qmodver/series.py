@@ -280,17 +280,16 @@ class PuiseuxSeries(FrozenRecord):
                    ramification: int = 1) -> "PuiseuxSeries":
         """Accumulate (exponent, coefficient) pairs; terms at/beyond order are dropped."""
         order = _as_fraction(order)
-        acc: dict[Fraction, Coeff] = {}
+        zero = _zero_of(domain)  # added to each value, so a complex -0.0 part reads 0.0
+        kept = []
         D = lcm(ramification, order.denominator)
         for e, c in terms:
             e = _as_fraction(e)
-            if e >= order:
-                continue
-            c = _check_coeff(c, domain)
-            acc[e] = acc.get(e, _zero_of(domain)) + c
-            D = lcm(D, e.denominator)
+            if e < order:
+                kept.append((e, zero + _check_coeff(c, domain)))
+                D = lcm(D, e.denominator)
         return PuiseuxSeries.from_slots(
-            ((e.numerator * (D // e.denominator), c) for e, c in acc.items()), D, order, domain)
+            ((e.numerator * (D // e.denominator), c) for e, c in kept), D, order, domain)
 
     @staticmethod
     def from_slots(terms, D: int, order: RationalLike, domain: str = EXACT,

@@ -23,10 +23,13 @@ class InvalidTwistError(SeriesError):
 
 @lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
-    # recurrence sum_{i=0}^{m} C(m+1, i) B_i = 0 for m >= 1, from t e^{tx}/(e^t - 1)
+    # recurrence sum_{i=0}^{m} C(m+1, i) B_i = 0 for m >= 1, from t e^{tx}/(e^t - 1),
+    # summed over its nonzero terms only: B_i = 0 for odd i > 1
     if k == 0:
         return Fraction(1)
-    s = sum(Fraction(comb(k + 1, i)) * bernoulli_number(i) for i in range(k))
+    if k > 1 and k % 2:
+        return Fraction(0)
+    s = sum(Fraction(comb(k + 1, i)) * bernoulli_number(i) for i in range(k) if i < 2 or i % 2 == 0)
     return -s / (k + 1)
 
 
@@ -93,11 +96,14 @@ class TwistParams(FrozenRecord):
 def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     """The twisted series Q_k(mu, lambda, tau) on the 1/T exponent grid.
 
-    Q_0 is the constant -1 for every twist.  For k >= 1 each geometric factor
-    lambda^{+-1} q^x / (1 - lambda^{+-1} q^x) with x > 0 is expanded as
-    sum_m lambda^{+-m} q^{mx}; the n = 0, j = 0 term of the first sum is the
-    pure constant lambda/(1 - lambda) (0^0 = 1 convention), and the constant
-    -B_k(j/T)/k! is always present.
+    Q_0 is the constant -1 for every twist.  For k >= 1 the terms are the
+    constant -B_k(j/T)/k!, for j = 0 and k = 1 the n = 0 term lambda/(1 - lambda)
+    of the first sum (0^0 = 1 convention), and then both geometric sums, walked
+    by one loop: the first at x = num/T for num = j, j + T, ... (from T when
+    j = 0) with weight x^{k-1}/(k-1)! and root lambda, the second at
+    num = T - j, 2T - j, ... with weight (-1)^k x^{k-1}/(k-1)! and root
+    lambda^{-1}.  Each factor root q^x / (1 - root q^x) is expanded as
+    sum_{m >= 1} root^m q^{mx} below the order.
     """
     if k < 0:
         raise ValueError("Q_k needs k >= 0")
@@ -107,25 +113,22 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     if tw.trivial:
         raise InvalidTwistError("Q_k with k >= 1 requires (mu, lambda) != (1, 1)")
 
-    exact = tw.lambda_real
     K = math.factorial(k - 1)
     KT = K * tw.T ** (k - 1)  # x^{k-1}/K = num^{k-1}/KT at x = num/T
     const = -bernoulli_poly(k, Fraction(tw.j, tw.T)) / math.factorial(k)
-    if exact:
+    if tw.lambda_real:
         # lambda = +-1: every coefficient is an integer numerator over den
-        lam = lam_inv = 1 if tw.l == 0 else -1
-        den = lcm(2 * KT, const.denominator)
-        terms = [(0, const.numerator * (den // const.denominator))]
-        lam_const = -den // 2  # lambda/(1 - lambda) at the one exact use, lambda = -1, k = 1
+        domain, lam = EXACT, (1 if tw.l == 0 else -1)
+        lam_inv, den = lam, lcm(2 * KT, const.denominator)
+        # lambda/(1 - lambda) is used exactly only at lambda = -1, k = 1
+        const, lam_const = const.numerator * (den // const.denominator), -den // 2
 
         def weight(num, base):
             return base * num ** (k - 1) * (den // KT)
     else:
-        lam = cmath.exp(2j * math.pi * tw.l / tw.T1)
-        lam_inv = 1 / lam
-        den = 1
-        terms = [(0, complex(const))]
-        lam_const = lam / (1 - lam) / K
+        domain, lam = COMPLEX, cmath.exp(2j * math.pi * tw.l / tw.T1)
+        lam_inv, den = 1 / lam, 1
+        const, lam_const = complex(const), lam / (1 - lam) / K
 
         def weight(num, base):
             return complex(Fraction(num ** (k - 1), KT) * base)
@@ -134,35 +137,14 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     D = lcm(tw.T, order.denominator)
     step = D // tw.T
     top = math.ceil(order * D)
-
-    def expand(num: int, base, powfun):
-        # base * x^{k-1} lambda^{+-m} q^{mx} for m >= 1 while mx < order
-        w = weight(num, base)
-        slot = num * step
-        m = 1
-        while m * slot < top:
-            terms.append((m * slot, w * powfun(m)))
-            m += 1
-
-    # first sum, n >= 0
-    if tw.j == 0:
-        # n = 0 contributes the constant lambda/(1 - lambda) only when k = 1 (0^0 = 1)
-        if k == 1:
-            terms.append((0, lam_const))
-        n0 = 1
-    else:
-        n0 = 0
-    num = n0 * tw.T + tw.j
-    while num * step < top:
-        expand(num, 1, lambda m: lam ** m)
-        num += tw.T
-    # second sum, n >= 1, coefficient (-1)^k, powers of lambda^{-1}
-    sign = (-1) ** k
-    num = tw.T - tw.j
-    while num * step < top:
-        expand(num, sign, lambda m: lam_inv ** m)
-        num += tw.T
-    return PuiseuxSeries.from_slots(terms, D, order, EXACT if exact else COMPLEX, den)
+    terms = [(0, const)]
+    if tw.j == 0 and k == 1:
+        terms.append((0, lam_const))
+    for first, base, root in ((tw.j or tw.T, 1, lam), (tw.T - tw.j, (-1) ** k, lam_inv)):
+        for num in range(first, -(-top // step), tw.T):
+            w, slot = weight(num, base), num * step
+            terms += [(m * slot, w * root ** m) for m in range(1, -(-top // slot))]
+    return PuiseuxSeries.from_slots(terms, D, order, domain, den)
 
 
 def euler_product(order) -> PuiseuxSeries:

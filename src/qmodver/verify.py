@@ -50,18 +50,10 @@ class CheckReport(Record):
         self.aborted = aborted
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "passed": self.passed,
-            "order_used": {"num": self.order_used.numerator,
-                           "den": self.order_used.denominator},
-            "max_residual": self.max_residual,
-            "tail_estimate": self.tail_estimate,
-            "details": self.details,
-            "expected_fail": self.expected_fail,
-            "aborted": self.aborted,
-        }
+        doc = dict(zip(self._fields, self._values()))
+        doc["order_used"] = {"num": self.order_used.numerator,
+                             "den": self.order_used.denominator}
+        return doc
 
     def summary_line(self) -> str:
         if self.aborted:

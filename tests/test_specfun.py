@@ -49,7 +49,8 @@ class TestBernoulli:
                 assert bernoulli_poly(k, x) == taylor_bernoulli_poly(k, x)
 
     def test_recurrence_closure(self):
-        for k in range(1, 13):
+        # every term, odd ones too, so the B_i = 0 shortcut for odd i > 1 is checked
+        for k in range(1, 60):
             s = sum(math.comb(k + 1, i) * bernoulli_number(i) for i in range(k + 1))
             assert s == 0
 
@@ -181,13 +182,16 @@ def ref_q_twisted(k, tw, order):
 
 TWISTS = [TwistParams(j, T, l, T1) for T in (1, 2, 3) for T1 in (1, 2, 3)
           for j in range(T) for l in range(T1)]
+# lambda of order 4 or 6 and j >= 2, where the first sum starts at num = j
+WIDE_TWISTS = [TwistParams(j, T, l, T1) for T in (4, 6) for T1 in (4, 6)
+               for j in range(T) for l in range(T1)]
 
 
 @pytest.mark.parametrize("order", [F(1, 2), F(7, 3), F(30), F(61, 2), F(121)], ids=str)
 @pytest.mark.parametrize("k", range(5))
 def test_q_twisted_matches_fraction_reference(k, order):
     # json text, so even the sign of a zero float component must agree
-    for tw in TWISTS:
+    for tw in TWISTS + (WIDE_TWISTS if order < 30 else []):
         if k >= 1 and tw.trivial:
             continue
         got = json.dumps(q_twisted(k, tw, order).to_json_dict())
