@@ -6,16 +6,16 @@ operations propagate the sharpest order they can justify rather than a fixed
 global truncation.  All values are immutable and all operations are pure.
 
 A series is stored in one canonical form, on its support lattice: the
-offset is the first nonzero slot, `vals[j]` is the coefficient of slot
+offset is the first nonzero slot, `vals[j] / den` is the coefficient of slot
 offset + j*g up to the last nonzero slot, every other slot below the order
 holds the domain's zero, and g is the gcd spacing of the nonzero slots.  So
 eta (exponents 1/24 + integers on the 1/24 grid) keeps one value per integer,
-not 24, and the characters one in 12.  `coeffs` is the dense view, one value
-per slot, built on demand for readers outside the package; no kernel reads it.
-
-Exact-domain coefficients are canonical: an `int` when the value is integral,
-a `fractions.Fraction` otherwise, whatever mix of the two a constructor is
-given.
+not 24, and the characters one in 12.  An exact series stores integer
+numerators over one denominator den >= 1 with gcd(den, *vals) = 1, so den = 1
+exactly when every coefficient is an integer; a complex series stores its
+values with den = 1.  The readers (`coeffs`, the dense view built on demand
+for code outside the package, `terms`, `coefficient_at`, JSON, `evaluate`)
+show an exact coefficient as an `int` when integral, else a `Fraction`.
 
 Complex-domain series (python `complex` coefficients with finite components)
 are evaluation-only: they can be built, serialized, read, regridded
@@ -23,14 +23,11 @@ are evaluation-only: they can be built, serialized, read, regridded
 comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
 series directly and returns, bit for bit, what their `to_complex()` returns.
 
-The exact kernels work on integers and never convert a coefficient to
-float, and each reads and writes lattice values only.  `__mul__` writes each
-operand once as integer numerators over one common denominator (the lcm of
-its coefficient denominators, 1 for eta, theta, partitions and the
-characters) and convolves plain ints on the product lattice; `invert` runs
-its triangular recurrence in integers for any leading numerator;
-`from_slots` is the one constructor that sums (slot, value) pairs and builds
-each output coefficient once.
+The exact kernels compute on the stored integers and carry den, never
+converting a coefficient to float or Fraction, and read and write lattice
+values only: `__mul__` convolves numerators on the product lattice, `invert`
+runs its triangular recurrence in integers, and `from_slots`, the one
+constructor that sums (slot, value) pairs, builds each coefficient once.
 """
 
 from __future__ import annotations
@@ -101,33 +98,14 @@ def _zero_of(domain: str) -> Coeff:
     return 0 if domain == EXACT else _COMPLEX_ZERO
 
 
-def _canon(c) -> Coeff:
-    """An exact coefficient as an int when integral, else as a Fraction."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise SeriesError(f"exact series needs int or Fraction coefficients, got {type(c).__name__}")
-
-
 def _ratio(n: int, d: int) -> Coeff:
-    """The canonical exact coefficient n/d for integers n and d != 0."""
+    """n/d as an int when integral, else a Fraction, for d >= 1 (n when d = 1)."""
     if d == 1:
         return n
     g = gcd(n, d)
-    if g == abs(d):
+    if g == d:
         return n // d
     return Fraction(n // g, d // g)
-
-
-def _over_common_den(pairs: list) -> tuple[int, list]:
-    """(d, [(k, c*d)]): (k, exact coefficient) pairs as integer numerators over
-    the lcm d of the coefficient denominators."""
-    d = 1
-    for _, c in pairs:
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    return d, [(k, c.numerator * (d // c.denominator)) for k, c in pairs]
 
 
 def _require_exact(*series: "PuiseuxSeries"):
@@ -140,7 +118,9 @@ def _require_exact(*series: "PuiseuxSeries"):
 
 def _check_coeff(c: Coeff, domain: str) -> Coeff:
     if domain == EXACT:
-        return _canon(c)
+        if isinstance(c, (int, Fraction)):
+            return c
+        raise SeriesError(f"exact series needs int or Fraction coefficients, got {type(c).__name__}")
     c = complex(c)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise SeriesError("non-finite complex coefficient")
@@ -167,34 +147,39 @@ def _spread(values: dict, domain: str) -> tuple[int, list]:
 
 class PuiseuxSeries(FrozenRecord):
     """The coefficient of q^((offset + i)/ramification), for every slot i below
-    order, is vals[i // g] when g divides i and the domain's zero otherwise.
+    order, is vals[i // g] / den when g divides i and the domain's zero
+    otherwise.
 
     `_store`, the one place that canonicalizes, makes the stored form
-    (ramification, offset, g, vals, order, domain) the value: canonical exact
-    or finite complex values with one shared complex zero, vals from the
-    first to the last nonzero slot (empty for a zero series, which keeps its
-    offset), g the gcd spacing of the nonzero slots (1 when there are fewer
-    than two).  So `==`, hashing, `lead`, `is_zero` and `support_step` read
-    fields.  `coeffs` is the dense tuple over every slot; repr and pickling
-    show the dense fields.  `_float_cache` is filled on first evaluation.
+    (ramification, offset, g, vals, den, order, domain) the value: exact
+    integer numerators over den with gcd(den, *vals) = 1, or finite complex
+    values with one shared complex zero and den = 1; vals from the first to
+    the last nonzero slot (empty for a zero series, which keeps its offset),
+    g the gcd spacing of the nonzero slots (1 when there are fewer than two).
+    So `==`, hashing, `lead`, `is_zero` and `support_step` read fields.
+    `coeffs` is the dense tuple over every slot; repr and pickling show the
+    dense fields.  `_float_cache` is filled on first evaluation.
     """
 
     _fields = ("ramification", "offset", "coeffs", "order", "domain")
-    __slots__ = ("ramification", "offset", "g", "vals", "order", "domain", "_float_cache")
+    __slots__ = ("ramification", "offset", "g", "vals", "den", "order", "domain", "_float_cache")
 
     def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
                  domain: str):
         self._store(ramification, offset, 1, coeffs, order, domain, dense=True)
 
     def _store(self, D: int, off: int, g: int, vals, order: Fraction, domain: str,
-               dense: bool = False):
-        """Set the canonical fields from vals on the lattice off + g*Z, after
-        the checks of the dense constructor (dense: vals is the dense tuple,
-        whose length must be the slot count)."""
+               den: int = 1, dense: bool = False):
+        """Set the canonical fields from vals on the lattice off + g*Z, each an
+        exact (int or Fraction) value over den or a complex value (den = 1),
+        after the checks of the dense constructor (dense: vals is the dense
+        tuple, whose length must be the slot count)."""
         if D < 1:
             raise SeriesError("ramification must be a positive integer")
         if domain not in (EXACT, COMPLEX):
             raise SeriesError(f"unknown domain {domain!r}")
+        if type(den) is not int or den < 1 or (domain == COMPLEX and den != 1):
+            raise SeriesError(f"den must be a positive int (1 for complex series), got {den!r}")
         n = _slot_count(order, D, off)
         if dense and len(vals) != n:
             raise SeriesError(
@@ -202,7 +187,10 @@ class PuiseuxSeries(FrozenRecord):
         if domain == COMPLEX:
             vals = [_check_coeff(c, COMPLEX) or _COMPLEX_ZERO for c in vals]
         elif not set(map(type, vals)) <= {int}:
-            vals = [_canon(c) for c in vals]
+            vals = [_check_coeff(c, EXACT) for c in vals]
+            d = lcm(*[c.denominator for c in vals])
+            vals = [c.numerator * (d // c.denominator) for c in vals]
+            den *= d
         first, last = 0, len(vals) - 1
         while last >= 0 and not vals[last]:
             last -= 1
@@ -217,32 +205,40 @@ class PuiseuxSeries(FrozenRecord):
             if vals[j]:
                 h = gcd(h, j - first)
         off += first * g
+        vals = vals[first:last + 1:h or 1]
+        c = gcd(den, *vals) if den != 1 else 1  # empty vals: c = den, so den becomes 1
+        if c != 1:
+            den, vals = den // c, [v // c for v in vals]
         for name, value in (("ramification", D), ("offset", off), ("g", g * h or 1),
-                            ("vals", tuple(vals[first:last + 1:h or 1])), ("order", order),
+                            ("vals", tuple(vals)), ("den", den), ("order", order),
                             ("domain", domain)):
             object.__setattr__(self, name, value)
 
     @staticmethod
     def _from_lattice(D: int, off: int, g: int, vals, order: Fraction,
                       domain: str = EXACT, den: int = 1) -> "PuiseuxSeries":
-        """The series whose slot off + j*g of the 1/D grid holds vals[j] (an
-        exact value over den, an integer numerator when den != 1), and every
-        other slot below order the domain's zero."""
-        if den != 1:
-            vals = [_ratio(v, den) if v else 0 for v in vals]
+        """The series whose slot off + j*g of the 1/D grid holds vals[j] / den
+        (exact values, or complex values with den = 1), and every other slot
+        below order the domain's zero."""
         s = object.__new__(PuiseuxSeries)
-        s._store(D, off, g, vals, order, domain)
+        s._store(D, off, g, vals, order, domain, den)
         return s
+
+    def _read_vals(self) -> tuple:
+        """The stored coefficients as read: vals[j] / den, canonical."""
+        if self.den == 1:
+            return self.vals
+        return tuple([_ratio(v, self.den) for v in self.vals])
 
     @property
     def coeffs(self) -> tuple:
         """The dense view: one value per slot below the order."""
         cs = [_zero_of(self.domain)] * _slot_count(self.order, self.ramification, self.offset)
-        cs[:len(self.vals) * self.g:self.g] = self.vals
+        cs[:len(self.vals) * self.g:self.g] = self._read_vals()
         return tuple(cs)
 
     def _key(self) -> tuple:
-        return self.ramification, self.offset, self.g, self.vals, self.order, self.domain
+        return self.ramification, self.offset, self.g, self.vals, self.den, self.order, self.domain
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -297,9 +293,9 @@ class PuiseuxSeries(FrozenRecord):
         """Accumulate (k, value) pairs at exponents k/D below order; the first
         nonzero slot becomes the offset.
 
-        An exact coefficient is the sum of its values divided by den: with
-        den = 1 the values are any exact coefficients, otherwise integer
-        numerators.  Each output coefficient is built once.
+        An exact coefficient is the sum of its values (ints or Fractions)
+        divided by den, an int >= 1; a complex series takes den = 1.  Each
+        output coefficient is built once.
         """
         order = _as_fraction(order)
         top = math.ceil(order * D)
@@ -314,11 +310,12 @@ class PuiseuxSeries(FrozenRecord):
         return PuiseuxSeries._from_lattice(
             D, base, *_spread({k - base: acc[k] for k in nonzero}, domain), order, domain, den)
 
-    def _slots(self, D: int) -> list:
-        """Nonzero (k, coefficient) pairs, exponent k/D, on a grid D divisible by ours."""
-        step = D // self.ramification
+    def _slots(self, D: int, d: int) -> list:
+        """Nonzero (k, numerator over d) pairs, exponent k/D, on a grid D and a
+        denominator d divisible by ours."""
+        step, m = D // self.ramification, d // self.den
         k0, dk = self.offset * step, self.g * step
-        return [(k0 + j * dk, c) for j, c in enumerate(self.vals) if c != 0]
+        return [(k0 + j * dk, v * m) for j, v in enumerate(self.vals) if v]
 
     # -- structure ---------------------------------------------------------
 
@@ -328,7 +325,7 @@ class PuiseuxSeries(FrozenRecord):
     def terms(self) -> Iterator[tuple[Fraction, Coeff]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
         off, g, D = self.offset, self.g, self.ramification
-        for j, c in enumerate(self.vals):
+        for j, c in enumerate(self._read_vals()):
             if c != 0:
                 yield Fraction(off + j * g, D), c
 
@@ -353,7 +350,7 @@ class PuiseuxSeries(FrozenRecord):
         j, r = divmod(int(i), self.g)
         if r or j >= len(self.vals):
             return _zero_of(self.domain)
-        return self.vals[j]
+        return _ratio(self.vals[j], self.den)
 
     def _float_view(self) -> tuple[tuple, tuple]:
         """(exps, cs), computed once per series on its first evaluation:
@@ -364,7 +361,7 @@ class PuiseuxSeries(FrozenRecord):
         except AttributeError:
             pass
         off, g, D = self.offset, self.g, self.ramification
-        nz = [(j, c) for j, c in enumerate(self.vals) if c]
+        nz = [(j, c) for j, c in enumerate(self._read_vals()) if c]
         view = (tuple([(off + j * g) / D for j, _ in nz]), tuple([complex(c) for _, c in nz]))
         object.__setattr__(self, "_float_cache", view)
         return view
@@ -378,8 +375,8 @@ class PuiseuxSeries(FrozenRecord):
     def to_complex(self) -> "PuiseuxSeries":
         if self.domain == COMPLEX:
             return self
-        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g, self.vals,
-                                           self.order, COMPLEX)
+        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
+                                           self._read_vals(), self.order, COMPLEX)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -389,12 +386,11 @@ class PuiseuxSeries(FrozenRecord):
         _require_exact(self, other)
         order = min(self.order, other.order)
         D = lcm(self.ramification, other.ramification, order.denominator)
-        return PuiseuxSeries.from_slots(self._slots(D) + other._slots(D), D, order)
+        d = lcm(self.den, other.den)
+        return PuiseuxSeries.from_slots(self._slots(D, d) + other._slots(D, d), D, order, den=d)
 
     def __neg__(self) -> "PuiseuxSeries":
-        _require_exact(self)
-        return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
-                                           [-c for c in self.vals], self.order)
+        return self.scale(-1)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
@@ -402,11 +398,12 @@ class PuiseuxSeries(FrozenRecord):
     def scale(self, c) -> "PuiseuxSeries":
         """Multiply every coefficient by the exact scalar c."""
         _require_exact(self)
-        c = _canon(c)
+        c = _check_coeff(c, EXACT)
         if c == 0:
             return PuiseuxSeries.zero(self.order)
         return PuiseuxSeries._from_lattice(self.ramification, self.offset, self.g,
-                                           [c * x for x in self.vals], self.order)
+                                           [c.numerator * v for v in self.vals], self.order,
+                                           EXACT, self.den * c.denominator)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -422,10 +419,9 @@ class PuiseuxSeries(FrozenRecord):
         m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
         if m == 0 or not self.vals or not other.vals:
             return PuiseuxSeries.zero(order)
-        # integer numerators over one common denominator per operand
         qa, qb = self.g * pa // G, other.g * pb // G
-        da, a = _over_common_den([(j * qa, c) for j, c in enumerate(self.vals) if c])
-        db, b = _over_common_den([(j * qb, c) for j, c in enumerate(other.vals) if c])
+        a = [(j * qa, x) for j, x in enumerate(self.vals) if x]
+        b = [(j * qb, y) for j, y in enumerate(other.vals) if y]
         acc = [0] * m
         for ia, x in a:
             lim = m - ia
@@ -433,7 +429,7 @@ class PuiseuxSeries(FrozenRecord):
                 if ib >= lim:
                     break
                 acc[ia + ib] += x * y
-        return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, da * db)
+        return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, self.den * other.den)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if not isinstance(n, int) or n < 0:
@@ -450,10 +446,10 @@ class PuiseuxSeries(FrozenRecord):
         Runs the triangular recurrence on the support lattice, step g slots
         (24 for eta on its 1/24 grid), and stores the inverse there: every
         other coefficient of the inverse is zero.
-        The coefficients are written as integers n_k over a common
-        denominator d, and the recurrence c_0 = 1,
-        c_m = -sum_k n_k n_0^(k-1) c_{m-k} runs in integers (k, m counted in
-        lattice steps), so that b_m = d c_m / n0^(m+1).
+        With the stored numerators n_k over d, the inverse is stored as
+        numerators e_m over den = |n_0|^M, M its number of lattice steps
+        below the order, which makes every e_m an integer: n_0 e_0 = d den
+        and n_0 e_m = -sum_{k>=1} n_k e_{m-k}, with k and m counted in steps.
         """
         _require_exact(self)
         if not self.vals:
@@ -463,29 +459,26 @@ class PuiseuxSeries(FrozenRecord):
         order = self.order - 2 * Fraction(self.offset, D)
         off = -self.offset
         n = _slot_count(order, D, off)
-        d, nums = _over_common_den([(j, c) for j, c in enumerate(self.vals) if c])
-        n0 = nums[0][1]
-        tail = [(k, x * n0 ** (k - 1)) for k, x in nums[1:]]  # k in steps of g slots
+        n0 = self.vals[0]
+        tail = [(k, x) for k, x in enumerate(self.vals) if k and x]
         b = [0] * (-(-n // g) if tail else 1)
-        b[0] = 1
+        den = abs(n0) ** len(b)
+        b[0] = self.den * den // n0
         for m in range(1, len(b)):
             s = 0
             for k, w in tail:
                 if k > m:
                     break
                 s += w * b[m - k]
-            b[m] = -s
-        if (d, n0) != (1, 1):
-            b = [_ratio(d * c, n0 ** (m + 1)) if c else 0 for m, c in enumerate(b)]
-        return PuiseuxSeries._from_lattice(D, off, g, b, order)
+            b[m] = -s // n0
+        return PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
 
     def q_d_dq(self) -> "PuiseuxSeries":
         """The derivation q d/dq, i.e. (2 pi i)^{-1} d/dtau: c q^e -> c e q^e."""
         _require_exact(self)
         D, off, g = self.ramification, self.offset, self.g
-        vals = [_ratio(c.numerator * (off + j * g), c.denominator * D) if c else 0
-                for j, c in enumerate(self.vals)]
-        return PuiseuxSeries._from_lattice(D, off, g, vals, self.order)
+        vals = [v * (off + j * g) for j, v in enumerate(self.vals)]
+        return PuiseuxSeries._from_lattice(D, off, g, vals, self.order, EXACT, self.den * D)
 
     def _regrid(self, D: int, off: int, order: Fraction, p: int = 1) -> "PuiseuxSeries":
         """Our slot i placed at slot i*p of the grid with ramification D,
@@ -493,7 +486,8 @@ class PuiseuxSeries(FrozenRecord):
         are dropped.  The lattice step becomes g*p."""
         gp = self.g * p
         m = -(-_slot_count(order, D, off) // gp)  # the j with j*g*p below the order
-        return PuiseuxSeries._from_lattice(D, off, gp, self.vals[:m], order, self.domain)
+        return PuiseuxSeries._from_lattice(D, off, gp, self.vals[:m], order, self.domain,
+                                           self.den)
 
     def rescale(self, r: RationalLike) -> "PuiseuxSeries":
         """Exponent map q^e -> q^{re}, realizing tau -> r*tau; order becomes r*order."""
@@ -526,7 +520,8 @@ class PuiseuxSeries(FrozenRecord):
                 raise DomainPromotionRequired(
                     f"multiplier e^(2 pi i {Fraction(r, M)}) is irrational; "
                     "exact coefficients are rational")
-        return PuiseuxSeries._from_lattice(self.ramification, off, g, vals, self.order)
+        return PuiseuxSeries._from_lattice(self.ramification, off, g, vals, self.order, EXACT,
+                                           self.den)
 
     def shifted(self, delta: RationalLike) -> "PuiseuxSeries":
         """Multiply by the monomial q^delta (exponent translation)."""
@@ -544,15 +539,15 @@ class PuiseuxSeries(FrozenRecord):
     def first_mismatch(self, other: "PuiseuxSeries"):
         """First (exponent, self-coeff, other-coeff) differing below min(order), else None."""
         _require_exact(self, other)
-        D = lcm(self.ramification, other.ramification)
+        D, d = lcm(self.ramification, other.ramification), lcm(self.den, other.den)
         top = math.ceil(min(self.order, other.order) * D)
-        a, b = dict(self._slots(D)), dict(other._slots(D))
+        a, b = dict(self._slots(D, d)), dict(other._slots(D, d))
         for k in sorted(a.keys() | b.keys()):
             if k >= top:
                 break
             ca, cb = a.get(k, 0), b.get(k, 0)
             if ca != cb:
-                return Fraction(k, D), ca, cb
+                return Fraction(k, D), _ratio(ca, d), _ratio(cb, d)
         return None
 
     def equals(self, other: "PuiseuxSeries") -> bool:
@@ -600,7 +595,7 @@ class PuiseuxSeries(FrozenRecord):
 
     def to_json_dict(self) -> dict:
         terms = []
-        for j, c in enumerate(self.vals):
+        for j, c in enumerate(self._read_vals()):
             if c == 0:
                 continue
             if self.domain == EXACT:

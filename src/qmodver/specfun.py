@@ -62,14 +62,12 @@ def eisenstein(k: int, order) -> PuiseuxSeries:
     if k < 2 or k % 2 != 0:
         raise ValueError("Eisenstein series is defined here for even k >= 2")
     order = Fraction(order)
-    # integer numerators over den on the grid of the order's denominator
+    # values over den = (k-1)! on the grid of the order's denominator:
+    # the constant -B_k/k! * (k-1)! = -B_k/k, then 2 sigma_{k-1}(n) at q^n
     D = order.denominator
-    const = -bernoulli_number(k) / math.factorial(k)
-    den = lcm(const.denominator, math.factorial(k - 1))
-    scale = 2 * (den // math.factorial(k - 1))
-    terms = [(0, const.numerator * (den // const.denominator))]
-    terms += [(n * D, scale * divisor_sigma(k - 1, n)) for n in range(1, math.ceil(order))]
-    return PuiseuxSeries.from_slots(terms, D, order, den=den)
+    terms = [(0, -bernoulli_number(k) / k)]
+    terms += [(n * D, 2 * divisor_sigma(k - 1, n)) for n in range(1, math.ceil(order))]
+    return PuiseuxSeries.from_slots(terms, D, order, den=math.factorial(k - 1))
 
 
 class TwistParams(FrozenRecord):
@@ -117,14 +115,13 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     KT = K * tw.T ** (k - 1)  # x^{k-1}/K = num^{k-1}/KT at x = num/T
     const = -bernoulli_poly(k, Fraction(tw.j, tw.T)) / math.factorial(k)
     if tw.lambda_real:
-        # lambda = +-1: every coefficient is an integer numerator over den
-        domain, lam = EXACT, (1 if tw.l == 0 else -1)
-        lam_inv, den = lam, lcm(2 * KT, const.denominator)
-        # lambda/(1 - lambda) is used exactly only at lambda = -1, k = 1
-        const, lam_const = const.numerator * (den // const.denominator), -den // 2
+        # lambda = +-1: exact values over den = KT, so each weight is an integer;
+        # lambda/(1 - lambda) = -1/2 is used only at lambda = -1, k = 1
+        domain, lam, den = EXACT, (1 if tw.l == 0 else -1), KT
+        lam_inv, const, lam_const = lam, const * KT, Fraction(-KT, 2)
 
         def weight(num, base):
-            return base * num ** (k - 1) * (den // KT)
+            return base * num ** (k - 1)
     else:
         domain, lam = COMPLEX, cmath.exp(2j * math.pi * tw.l / tw.T1)
         lam_inv, den = 1 / lam, 1

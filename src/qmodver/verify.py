@@ -195,27 +195,40 @@ def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
     return _numeric_law(name, {"lhs": f, "rhs": g}, spec.sample_points, spec.tolerance, residual)
 
 
+# rho(gamma) on the nonvanishing Z_2 characters: c_(i,j)(gamma tau) is the
+# multiplier times c_(act_on_pair((i,j), gamma))(tau).  Under T it is
+# e^{2 pi i (leading exponent)}: 1/12 for (0,1), -1/24 for (1,1) and (1,0).
+_CLOSURE_MULTIPLIERS = {
+    T: {(0, 1): cmath.exp(1j * math.pi / 6), (1, 1): cmath.exp(-1j * math.pi / 12),
+        (1, 0): cmath.exp(-1j * math.pi / 12)},
+    S: {(0, 1): 1 + 0j, (1, 1): 1 + 0j, (1, 0): 1 + 0j},
+}
+
+
 def closure_scan(sector: SectorPair, gamma: ModularMatrix, sample_points,
                  tolerance: float, order=DEFAULT_NUMERIC_ORDER):
-    """Map the sector through the SL(2,Z) action and fit the connecting scalar.
+    """Check the weight-0 law c_sector(gamma tau) = m c_target(tau), with m the
+    multiplier the theory predicts (_CLOSURE_MULTIPLIERS), at every point.
 
-    The scalar is the ratio at the first sample point; the report checks the
-    weight-0 law with that scalar as multiplier at every point (constancy in
-    tau).  Returns (target sector, scalar, report).
+    The ratio at the first point is recorded as the "fitted" detail.  Returns
+    (target sector, m, report); gamma must be S or T.
     """
+    if gamma not in _CLOSURE_MULTIPLIERS:
+        raise ValueError(f"closure multipliers are known for S and T only, not {gamma.entries()}")
     target = act_on_pair(sector, gamma)
     f = lattice.character(sector, order).series
     g = lattice.character(target, order).series
     if g.is_zero():
         raise DegenerateSectorError(f"target sector {target} has identically zero character")
+    m = _CLOSURE_MULTIPLIERS[gamma][sector.i, sector.j]
     points = tuple(complex(t) for t in sample_points)
-    scalar = f.evaluate(mobius(gamma, points[0])).value / g.evaluate(points[0]).value
+    fitted = f.evaluate(mobius(gamma, points[0])).value / g.evaluate(points[0]).value
     report = check_transform_numeric(
         f"closure-({sector.i},{sector.j})-gamma{gamma.entries()}", f, g,
-        TransformSpec(gamma, Fraction(0), scalar, points, tolerance))
-    report.details.append({"target": [target.i, target.j],
-                           "scalar": [scalar.real, scalar.imag]})
-    return target, scalar, report
+        TransformSpec(gamma, Fraction(0), m, points, tolerance))
+    report.details.append({"target": [target.i, target.j], "multiplier": [m.real, m.imag],
+                           "fitted": [fitted.real, fitted.imag]})
+    return target, m, report
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +307,8 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
         tail = lhs.tail_estimate + e1.tail_estimate + e2.tail_estimate + e3.tail_estimate
         return abs(lhs.value - rhs), tail, {}
 
-    rep = _numeric_law("eta-half-argument-law", {"lhs": half, "rhs": eta}, (2j,),
-                       _given(tol, 1e-9), half_residual)
+    rep = _numeric_law("eta-half-argument-law", {"lhs": half, "rhs": eta},
+                       tuple(sample_points or (2j,)), _given(tol, 1e-9), half_residual)
     rep.details.append({"note": "left side is the q-expansion of "
                                 "e^{-i pi/24} eta((tau+1)/2); the pointwise "
                                 "principal branch carries that extra phase"})
@@ -313,7 +326,7 @@ def closure_suite(numeric_order=None, tol=None, sample_points=None) -> list[Chec
     c01 = lattice.character(SectorPair(2, 0, 1), order).series
     c11 = lattice.character(SectorPair(2, 1, 1), order).series
     c10 = lattice.character(SectorPair(2, 1, 0), order).series
-    s_points = (2j, 3j)
+    s_points = tuple(sample_points or (2j, 3j))
     reports.append(check_transform_numeric(
         "S-closure-(0,1)->(1,0)", c01, c10,
         TransformSpec(S, Fraction(0), 1.0 + 0j, s_points, tolerance)))
@@ -324,10 +337,7 @@ def closure_suite(numeric_order=None, tol=None, sample_points=None) -> list[Chec
     for sec, gamma in (((0, 1), T), ((1, 1), T), ((1, 0), T),
                        ((0, 1), S), ((1, 1), S)):
         sp = SectorPair(2, *sec)
-        target, scalar, report = closure_scan(sp, gamma, points, tolerance, order)
-        report.details.append({"note": "scalar is a fitted constant, "
-                                       "recorded for v = 1 only"})
-        reports.append(report)
+        reports.append(closure_scan(sp, gamma, points, tolerance, order)[2])
     return reports
 
 
@@ -335,12 +345,13 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
     o_exact = Fraction(_given(exact_order, DEFAULT_EXACT_ORDER))
     order = Fraction(_given(numeric_order, DEFAULT_NUMERIC_ORDER))
     tolerance = _given(tol, DEFAULT_TOLERANCE)
+    # -B_k/k! written out, not computed the way eisenstein builds it
+    constants = {2: Fraction(-1, 12), 4: Fraction(1, 720), 6: Fraction(-1, 30240)}
     reports = _exact_rows(_ExactRow(
         f"E{k}-constant-term", o_exact, "above 0",
         lambda k=k: PuiseuxSeries.monomial(
             specfun.eisenstein(k, o_exact).coefficient_at(0), 0, o_exact),
-        lambda k=k: PuiseuxSeries.monomial(
-            -specfun.bernoulli_number(k) / math.factorial(k), 0, o_exact))
+        lambda k=k: PuiseuxSeries.monomial(constants[k], 0, o_exact))
         for k in (2, 4, 6))
     for k in (4, 6):
         ek = specfun.eisenstein(k, order)

@@ -1,8 +1,9 @@
 """The benchmark's golden values (perfbench/golden.json), checked in-process.
 
 The benchmark checks every run against that file; these tests check the same
-coefficient digests and verdict table here, so that a change which moves a
-coefficient or a verdict fails the test suite and not only the benchmark.
+coefficient digests and verdict tables here, so that a change which moves a
+coefficient, a verdict or an order used fails the test suite and not only the
+benchmark.
 The file is only read.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qmodver import cli, lattice, specfun
+from qmodver import cli, lattice, specfun, verify
 from qmodver.modgroup import SectorPair
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent.parent / "perfbench" / "golden.json")
@@ -55,3 +56,13 @@ def test_check_all_verdicts(capsys):
         rows.append([m.group(1), m.group(2)] if m else ["UNPARSED", line])
     assert status == GOLDEN["suite_default"]["exit_code"]
     assert rows == GOLDEN["suite_default"]["verdicts"]
+
+
+def test_exact_deep_table():
+    """run_suite("identities") at the exact-deep order: verdicts, names and
+    the order each report used (theta3 and theta4 use less than asked)."""
+    deep = GOLDEN["exact_deep"]
+    reports, status = verify.run_suite("identities", exact_order=deep["order"])
+    rows = [[r.summary_line().split()[0], r.name, str(r.order_used)] for r in reports]
+    assert status == deep["status"]
+    assert rows == deep["reports"]

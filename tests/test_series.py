@@ -318,9 +318,22 @@ def test_slot_kernels_match_dict_reference(a, b):
 # -- canonical exact coefficients -------------------------------------------
 
 def is_canonical(s):
-    """int exactly when integral, Fraction otherwise."""
-    return s.domain == EXACT and all(
-        type(c) is (int if c.denominator == 1 else F) for c in s.coeffs)
+    """The stored form is integer numerators over one den >= 1 with
+    gcd(den, *vals) = 1, so den = 1 exactly when every coefficient is an
+    integer, and every reader shows vals[j] / den as an int when integral
+    and a Fraction otherwise."""
+    if s.domain != EXACT or not all(type(v) is int for v in (s.den, *s.vals)):
+        return False
+    ref = {s.exponent(j * s.g): F(v, s.den) for j, v in enumerate(s.vals) if v}
+    from_json = {s.exponent(t["i"]): F(t["coeff"]["num"], t["coeff"]["den"])
+                 for t in s.to_json_dict()["terms"]}
+    return (s.den >= 1 and math.gcd(s.den, *s.vals) == 1
+            and (s.den == 1) == all(c.denominator == 1 for c in ref.values())
+            and all(type(c) is (int if c.denominator == 1 else F) for c in s.coeffs)
+            and sum(1 for c in s.coeffs if c) == len(ref)
+            and dict(s.terms()) == ref == from_json
+            and all(type(s.coefficient_at(e)) is type(c) and s.coefficient_at(e) == c
+                    for e, c in s.terms()))
 
 
 def values(s):
@@ -343,8 +356,13 @@ def test_outputs_are_canonical_and_match_fraction_references(a, b, u, c, r, delt
         assert is_canonical(got), name
         assert got.to_json_dict() == ref.to_json_dict(), name
     o = a.order - F(1, 3)
+    half = F(a.ramification, 2)  # e * half is a multiple of 1/2, so the phases are +-1
     copies = {
+        "neg": (-a, {e: -x for e, x in values(a).items()}, a.order),
         "scale": (a.scale(c), {e: x * c for e, x in values(a).items()}, a.order),
+        "shift_tau": (a.shift_tau(half),
+                      {e: x if (e * half).denominator == 1 else -x for e, x in values(a).items()},
+                      a.order),
         "q_d_dq": (a.q_d_dq(), {e: x * e for e, x in values(a).items() if e != 0}, a.order),
         "shifted": (a.shifted(delta), {e + delta: x for e, x in values(a).items()},
                     a.order + delta),
@@ -357,6 +375,49 @@ def test_outputs_are_canonical_and_match_fraction_references(a, b, u, c, r, delt
     for s in (a, u):
         back = PuiseuxSeries.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
         assert is_canonical(back) and back.to_json_dict() == s.to_json_dict()
+    mismatch = a.first_mismatch(a.scale(c))
+    if values(a):
+        e, x = next(iter(values(a).items()))
+        assert mismatch == (e, x, x * c)
+        assert [type(v) for v in mismatch[1:]] == [int if v.denominator == 1 else F
+                                                   for v in (x, x * c)]
+    else:
+        assert mismatch is None
+
+
+REAL_TWISTS = [specfun.TwistParams(j, T, l, T1) for T in (1, 2, 3, 4) for T1 in (1, 2)
+               for j in range(T) for l in range(T1)]
+
+
+@pytest.mark.parametrize("order", [F(1, 2), F(7, 3), F(12), F(41, 3)])
+def test_builder_and_kernel_outputs_store_numerators_over_one_denominator(order):
+    sectors = [SectorPair(2, i, j) for i in (0, 1) for j in (0, 1)]
+    built = [specfun.dedekind_eta(order), specfun.partition_gf(order),
+             specfun.eta_half_period_series(order), specfun.distinct_parts_product(order)]
+    built += [specfun.jacobi_theta(w, order) for w in (1, 2, 3, 4)]
+    built += [specfun.eisenstein(k, order) for k in (2, 4, 6, 12)]
+    built += [specfun.q_twisted(k, tw, order) for k in range(6) for tw in REAL_TWISTS
+              if k == 0 or not tw.trivial]
+    for sp in sectors:
+        built += [lattice.character(sp, order).series, lattice.eta_theta_form(sp, order),
+                  lattice.l0_inserted_trace(sp, order), lattice.lattice_sum(sp, order)]
+    for s in built:
+        assert is_canonical(s), s
+        outs = [-s, s.q_d_dq(), s.scale(F(-3, 4)), s * s, s + s.shifted(F(1, 2)),
+                s.truncate(order - F(1, 5)), s.rescale(F(2, 3))]
+        if not s.is_zero():
+            outs.append(s.invert())
+        for out in outs:
+            assert is_canonical(out), (s, out)
+    # E4 = 1/720 + q/3 + ...: one denominator for the whole series
+    e4 = specfun.eisenstein(4, order)
+    assert e4.den == 720 and e4.vals[:2] == ((1, 240) if order > 1 else (1,))
+
+
+@pytest.mark.parametrize("den", [0, -2])
+def test_from_slots_rejects_a_denominator_below_one(den):
+    with pytest.raises(SeriesError, match="den"):
+        PuiseuxSeries.from_slots([(0, 1), (2, 3)], 1, 4, den=den)
 
 
 def test_noncanonical_inputs_give_canonical_outputs():
@@ -611,13 +672,19 @@ def test_constructor_stores_the_canonical_form(fields, data):
     assert (s.ramification, s.offset, s.order, s.domain) == (D, off + first, order, domain)
     assert repr(s.coeffs) == repr(tuple(canonical(c, domain) for c in cs[first:]))
     # the stored lattice runs from the first to the last nonzero slot, step
-    # the gcd spacing of the nonzero slots
+    # the gcd spacing of the nonzero slots; an exact series stores integer
+    # numerators over one den, gcd(den, *vals) = 1, a complex one den = 1
     if nonzero:
         assert s.vals[0] != 0 and s.vals[-1] != 0
         assert s.g == (math.gcd(*[i - first for i in nonzero]) or 1)
-        assert repr(s.vals) == repr(s.coeffs[:nonzero[-1] - first + 1:s.g])
+        lattice_view = s.coeffs[:nonzero[-1] - first + 1:s.g]
+        if domain == EXACT:
+            assert is_canonical(s)
+            assert tuple(F(v, s.den) for v in s.vals) == lattice_view
+        else:
+            assert s.den == 1 and repr(s.vals) == repr(lattice_view)
     else:
-        assert (s.g, s.vals) == (1, ())
+        assert (s.g, s.vals, s.den) == (1, (), 1)
     assert s.lead() == (F(off + first, D) if nonzero else None)
     assert s.is_zero() == (not nonzero) and s.support_step() == F(s.g, D)
     # the canonical form is a fixed point of the constructor
@@ -638,7 +705,8 @@ def test_equal_values_are_equal_series_whatever_their_offset():
     b = PuiseuxSeries(1, 1, (1,), 2, EXACT)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     c = PuiseuxSeries(2, -1, (F(0), 0, F(3, 1), 0, F(1, 2)), F(4, 2), EXACT)
-    assert (c.offset, c.g, c.vals) == (1, 2, (3, F(1, 2)))
+    assert (c.offset, c.g, c.vals, c.den) == (1, 2, (6, 1), 2)
+    assert c.coeffs == (3, 0, F(1, 2)) and type(c.coeffs[0]) is int
     z = PuiseuxSeries(3, 2, (-0j, 0), F(4, 3), COMPLEX)
     assert (z.offset, z.vals, z.lead()) == (2, (), None) and z.coeffs == (0j, 0j)
 

@@ -144,19 +144,34 @@ class TestClosureScan:
         assert abs(scalar - cmath.exp(1j * math.pi / 6)) < 1e-8
         assert rep.passed
 
-    def test_tail_includes_the_scalar_modulus(self):
-        # at order 2 and a point near the real axis the fitted scalar is off
-        # unit modulus, so leaving |scalar| out would change the tail
-        sector, points = SectorPair(2, 0, 1), (0.2 + 0.45j, 2j)
-        target, scalar, rep = closure_scan(sector, S, points, 1e-8, order=2)
-        f = lattice.character(sector, 2).series.to_complex()
-        g = lattice.character(target, 2).series.to_complex()
-        assert abs(abs(scalar) - 1) > 1e-3
-        for tau, detail in zip(points, rep.details):
-            lhs, rhs = f.evaluate(mobius(S, tau)), g.evaluate(tau)
-            assert detail["tail"] == lhs.tail_estimate + abs(scalar) * rhs.tail_estimate
-            assert detail["tail"] != lhs.tail_estimate + rhs.tail_estimate
-        assert rep.tail_estimate == max(d["tail"] for d in rep.details[:-1])
+    def test_a_target_off_by_a_constant_factor_fails(self, monkeypatch):
+        # a fitted multiplier would absorb the factor 2 and pass with 0.5
+        character = lattice.character
+
+        def doubled(sector, order):
+            data = character(sector, order)
+            if (sector.i, sector.j) != (1, 0):
+                return data
+            return data._replace(series=data.series.scale(2))
+
+        monkeypatch.setattr(lattice, "character", doubled)
+        target, m, rep = closure_scan(SectorPair(2, 0, 1), S, (2j, 3j), 1e-8)
+        assert (target, m) == (SectorPair(2, 1, 0), 1)
+        assert not rep.passed and rep.max_residual > 0.1
+        assert rep.details[-1]["fitted"] == pytest.approx([0.5, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("sector,gamma", [((0, 1), T), ((1, 1), T), ((1, 0), T),
+                                              ((0, 1), S), ((1, 1), S)])
+    def test_predicted_multiplier_agrees_with_the_fit(self, sector, gamma):
+        target, m, rep = closure_scan(SectorPair(2, *sector), gamma, (2j, 3j, 1 + 2j), 1e-8)
+        info = rep.details[-1]
+        assert rep.passed and info["target"] == [target.i, target.j]
+        assert info["multiplier"] == [m.real, m.imag]
+        assert abs(complex(*info["fitted"]) - m) < 4e-16
+
+    def test_only_s_and_t_have_predicted_multipliers(self):
+        with pytest.raises(ValueError, match="S and T only"):
+            closure_scan(SectorPair(2, 0, 1), ModularMatrix(1, 0, 2, 1), (2j,), 1e-8)
 
     def test_degenerate_target(self):
         # (0,0) is fixed by T and its character vanishes
@@ -385,10 +400,28 @@ class TestCliFlags:
         assert cli.main(["check", "--suite", "identities", "--tol", "1e-8"]) == 0
         assert capsys.readouterr().err == "note: --tol is ignored by suite identities\n"
 
+    @pytest.mark.parametrize("suite", ["closure", "transforms"])
+    def test_tau_reaches_every_numeric_check(self, capsys, suite):
+        assert cli.main(["check", "--suite", suite, "--tau", "0,5", "--format", "json"]) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(reports) == {"closure": 7, "transforms": 3}[suite]
+        for r in reports:
+            assert [d["tau"] for d in r["details"] if "tau" in d] == [[0.0, 5.0]], r["name"]
+
     def test_read_flags_give_no_note(self, capsys):
         assert cli.main(["check", "--suite", "transforms", "--tol", "1e-8",
                          "--tau", "0,2"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_eisenstein_constant_terms_are_compared_with_literal_values(monkeypatch):
+    # a wrong B_4 moves the constant eisenstein builds, but not the one it is checked against
+    table = {k: specfun.bernoulli_number(k) for k in range(7)}
+    table[4] = F(7)
+    monkeypatch.setattr(specfun, "bernoulli_number", table.__getitem__)
+    reports, _ = run_suite("eisenstein")
+    assert {r.name: r.passed for r in reports if r.name.endswith("-constant-term")} == {
+        "E2-constant-term": True, "E4-constant-term": False, "E6-constant-term": True}
 
 
 def test_e2_defect_compared_with_predicted_value():
