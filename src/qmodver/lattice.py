@@ -62,8 +62,11 @@ def lattice_sum(sector: SectorPair, order) -> PuiseuxSeries:
     return PuiseuxSeries.from_slots(terms, D, order)
 
 
+@lru_cache(maxsize=32)
 def character(sector: SectorPair, order) -> CharacterData:
-    """q^{1/12} * (sum P(n) q^n) * lattice_sum(sector), exact, truncated at order."""
+    """q^{1/12} * (sum P(n) q^n) * lattice_sum(sector), exact, truncated at
+    order; memoized, so the rows and laws that read one character share one
+    build."""
     order = Fraction(order)
     inner = order + 1
     series = (partition_gf(inner) * lattice_sum(sector, inner))
@@ -96,8 +99,11 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
 
     Each oscillator/lattice state of total exponent e contributes sign * e * q^e,
     so this must agree with q d/dq of the character; the construction here never
-    calls q_d_dq (independent cross-check).  States are summed on integer slots
-    k = e * D of the grid D = lcm(24, order.denominator), as numerators over D.
+    calls q_d_dq (independent cross-check).  The lattice points that share an
+    exponent, s and 1 - s (untwisted) or s and -s (twisted), are summed first
+    into one weight, so the (0,0) sector, where each pair cancels, counts no
+    state.  States are summed on integer slots k = e * D of the grid
+    D = lcm(24, order.denominator), as numerators over D.
     """
     alternating, twisted, _ = _SECTORS[_sector_key(sector)]
     order = Fraction(order)
@@ -107,14 +113,21 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
     n_max = math.ceil(order - PREFACTOR_EXP + Fraction(1, 8)) + 1
     counts = _partition_counts(max(0, n_max))
     N = math.isqrt(max(0, math.ceil(2 * order))) + 3
+
+    def sign(s):
+        return -1 if (alternating and s % 2) else 1
+
+    # one representative s >= 0 per exponent, with the summed sign of its points
+    if twisted:
+        weights = [(0, 1)] + [(s, 2 * sign(s)) for s in range(1, N + 1)]
+    else:
+        weights = [(s, sign(s) + sign(1 - s)) for s in range(1, N + 1)]
     terms = []
-    for s in range(-N, N + 1):
+    for s, weight in weights:
+        if not weight:
+            continue
         es = PREFACTOR_EXP + _lattice_exponent(s, twisted)
         k0 = es.numerator * (D // es.denominator)
-        sign = -1 if (alternating and s % 2) else 1
-        for n in range(0, n_max + 1):
-            k = k0 + n * D
-            if k >= top:
-                break
-            terms.append((k, sign * counts[n] * k))
+        hi = min(n_max + 1, -((k0 - top) // D))  # the n with k0 + n*D below top
+        terms += [(k0 + n * D, weight * counts[n] * (k0 + n * D)) for n in range(hi)]
     return PuiseuxSeries.from_slots(terms, D, order, den=D)

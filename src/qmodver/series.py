@@ -25,9 +25,17 @@ series directly and returns, bit for bit, what their `to_complex()` returns.
 
 The exact kernels compute on the stored integers and carry den, never
 converting a coefficient to float or Fraction, and read and write lattice
-values only: `__mul__` convolves numerators on the product lattice, `invert`
-runs its triangular recurrence in integers, and `from_slots`, the one
-constructor that sums (slot, value) pairs, builds each coefficient once.
+values only.  `from_slots`, the one constructor that sums (slot, value)
+pairs, builds each coefficient once.  `__mul__` convolves numerators on the
+product lattice by one of two kernels: schoolbook, one multiply-add per
+nonzero pair, or Kronecker substitution, one CPython big-int multiply of the
+operands packed as fixed-width byte digits.  One rule, read from the
+operands alone, picks Kronecker when their nonzero pairs are at least twice
+the bytes it would pack, so sparse series such as the Euler product stay on
+schoolbook and dense ones take Kronecker.  `invert` runs the triangular
+recurrence in integers and keeps its result on the series.  The builders
+that a run repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
+`lattice.character`) are memoized where they are defined.
 """
 
 from __future__ import annotations
@@ -134,6 +142,86 @@ def _slot_count(order: RationalLike, ramification: int, offset: int) -> int:
     return max(0, -((offset * d - order.numerator * ramification) // d))
 
 
+def _bits(vals) -> int:
+    """The bit length of the largest |value| (0 for no values)."""
+    return max(map(abs, vals), default=0).bit_length()
+
+
+def _schoolbook(a, b, m: int) -> list:
+    """The first m coefficients of the product of the integer lists a and b,
+    summed over their nonzero pairs: the kernel for sparse operands."""
+    a = [(i, x) for i, x in enumerate(a) if x]
+    b = [(i, y) for i, y in enumerate(b) if y]
+    acc = [0] * m
+    for ia, x in a:
+        lim = m - ia
+        for ib, y in b:
+            if ib >= lim:
+                break
+            acc[ia + ib] += x * y
+    return acc
+
+
+def _pack(vals, nb: int) -> int:
+    """sum vals[i] * 256^(nb*i) for |vals[i]| < 256^nb: the positive and the
+    negative values each become one string of nb-byte digits."""
+    zero = bytes(nb)
+    pos = b"".join([v.to_bytes(nb, "little") if v > 0 else zero for v in vals])
+    neg = b"".join([(-v).to_bytes(nb, "little") if v < 0 else zero for v in vals])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _digit_bytes(a, b) -> int:
+    """Kronecker's digit width in bytes for a*b: bits(a) + bits(b) +
+    bits(min length) + 1 bits, rounded up."""
+    return -(-(_bits(a) + _bits(b) + min(len(a), len(b)).bit_length() + 1) // 8)
+
+
+def _kronecker(a, b, m: int) -> list:
+    """The first m coefficients of the product of the integer lists a and b,
+    from one big-int multiply (Kronecker substitution, Harvey 2009).
+
+    Each list is packed as the integer A = sum a_i X^i at X = 256^nb, where
+    nb bytes hold bits(a) + bits(b) + bits(min length) + 1 bits, so every
+    product coefficient c_i has |c_i| < X/2.  Adding X/2 to each digit of
+    A*B makes every digit nonnegative, so the digits unpack with no borrow.
+    """
+    nb = _digit_bytes(a, b)
+    pa = _pack(a, nb)
+    x = pa * pa if b is a else pa * _pack(b, nb)
+    half = 1 << (8 * nb - 1)
+    size = nb * m
+    bias = int.from_bytes(half.to_bytes(nb, "little") * m, "little")
+    buf = ((x + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, size, nb)]
+
+
+def _kronecker_pays(a, b) -> bool:
+    """Kronecker when the nonzero pairs of a and b are at least twice the
+    bytes it packs: its work grows with those bytes, schoolbook's with the
+    pairs.  So sparse operands such as the Euler product, eta and theta,
+    and a sparse operand against a wide dense one, keep schoolbook."""
+    pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
+    return pairs >= 2 * _digit_bytes(a, b) * (len(a) + len(b))
+
+
+def _convolve(a, b, m: int) -> list:
+    """The first m coefficients of the product of the integer lists a and b,
+    each of at most m entries, by the kernel `_kronecker_pays` picks."""
+    if _kronecker_pays(a, b):
+        return _kronecker(a, b, m)
+    return _schoolbook(a, b, m)
+
+
+def _on_step(vals, q: int, m: int):
+    """vals[j] at index j*q, zeros between, cut to the first m indices."""
+    if q == 1:
+        return vals[:m]
+    out = [0] * ((len(vals) - 1) * q + 1)
+    out[::q] = vals
+    return out[:m]
+
+
 def _spread(values: dict, domain: str) -> tuple[int, list]:
     """(g, vals) for {i: value} with slot indices i >= 0: vals[j] is the value
     at i = j*g (the domain's zero where there is none), g the gcd of the
@@ -158,11 +246,13 @@ class PuiseuxSeries(FrozenRecord):
     g the gcd spacing of the nonzero slots (1 when there are fewer than two).
     So `==`, hashing, `lead`, `is_zero` and `support_step` read fields.
     `coeffs` is the dense tuple over every slot; repr and pickling show the
-    dense fields.  `_float_cache` is filled on first evaluation.
+    dense fields.  `_float_cache` is filled on first evaluation, `_inverse`
+    on the first `invert()`.
     """
 
     _fields = ("ramification", "offset", "coeffs", "order", "domain")
-    __slots__ = ("ramification", "offset", "g", "vals", "den", "order", "domain", "_float_cache")
+    __slots__ = ("ramification", "offset", "g", "vals", "den", "order", "domain", "_float_cache",
+                 "_inverse")
 
     def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
                  domain: str):
@@ -419,16 +509,9 @@ class PuiseuxSeries(FrozenRecord):
         m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
         if m == 0 or not self.vals or not other.vals:
             return PuiseuxSeries.zero(order)
-        qa, qb = self.g * pa // G, other.g * pb // G
-        a = [(j * qa, x) for j, x in enumerate(self.vals) if x]
-        b = [(j * qb, y) for j, y in enumerate(other.vals) if y]
-        acc = [0] * m
-        for ia, x in a:
-            lim = m - ia
-            for ib, y in b:
-                if ib >= lim:
-                    break
-                acc[ia + ib] += x * y
+        a = _on_step(self.vals, self.g * pa // G, m)
+        b = a if other is self else _on_step(other.vals, other.g * pb // G, m)
+        acc = _convolve(a, b, m)
         return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, self.den * other.den)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
@@ -443,14 +526,19 @@ class PuiseuxSeries(FrozenRecord):
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
 
-        Runs the triangular recurrence on the support lattice, step g slots
-        (24 for eta on its 1/24 grid), and stores the inverse there: every
-        other coefficient of the inverse is zero.
+        Computed once per series: the result is kept in the private slot
+        `_inverse`.  Runs the triangular recurrence on the support lattice,
+        step g slots (24 for eta on its 1/24 grid), and stores the inverse
+        there: every other coefficient of the inverse is zero.
         With the stored numerators n_k over d, the inverse is stored as
         numerators e_m over den = |n_0|^M, M its number of lattice steps
         below the order, which makes every e_m an integer: n_0 e_0 = d den
         and n_0 e_m = -sum_{k>=1} n_k e_{m-k}, with k and m counted in steps.
         """
+        try:
+            return self._inverse
+        except AttributeError:
+            pass
         _require_exact(self)
         if not self.vals:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
@@ -471,7 +559,9 @@ class PuiseuxSeries(FrozenRecord):
                     break
                 s += w * b[m - k]
             b[m] = -s // n0
-        return PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
+        inverse = PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
+        object.__setattr__(self, "_inverse", inverse)
+        return inverse
 
     def q_d_dq(self) -> "PuiseuxSeries":
         """The derivation q d/dq, i.e. (2 pi i)^{-1} d/dtau: c q^e -> c e q^e."""

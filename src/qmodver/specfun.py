@@ -21,16 +21,36 @@ class InvalidTwistError(SeriesError):
     """Q_k with k >= 1 needs (mu, lambda) != (1, 1)."""
 
 
+@lru_cache(maxsize=1)
+def _tangent_numbers(n: int) -> tuple[int, ...]:
+    """(0, T_1, ..., T_n), T_k the k-th tangent number (tan x = sum T_k
+    x^(2k-1)/(2k-1)!), by Brent and Harvey's integer triangle ("Fast
+    computation of Bernoulli, tangent and secant numbers", 2011): O(n^2)
+    integer multiply-adds and no gcd."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
-    # recurrence sum_{i=0}^{m} C(m+1, i) B_i = 0 for m >= 1, from t e^{tx}/(e^t - 1),
-    # summed over its nonzero terms only: B_i = 0 for odd i > 1
+    """B_k (B_1 = -1/2), from the tangent numbers:
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)), and B_k = 0 for odd k > 1.
+    The table is built up to a power of two, so reading B_0, B_1, ..., B_k
+    in turn builds O(log k) tables."""
     if k == 0:
         return Fraction(1)
-    if k > 1 and k % 2:
+    if k == 1:
+        return Fraction(-1, 2)
+    if k % 2:
         return Fraction(0)
-    s = sum(Fraction(comb(k + 1, i)) * bernoulli_number(i) for i in range(k) if i < 2 or i % 2 == 0)
-    return -s / (k + 1)
+    n = k // 2
+    t = _tangent_numbers(1 << (n - 1).bit_length())[n]
+    return Fraction((-1) ** (n - 1) * k * t, 4 ** n * (4 ** n - 1))
 
 
 def bernoulli_poly(k: int, x: Fraction) -> Fraction:
@@ -63,10 +83,16 @@ def eisenstein(k: int, order) -> PuiseuxSeries:
         raise ValueError("Eisenstein series is defined here for even k >= 2")
     order = Fraction(order)
     # values over den = (k-1)! on the grid of the order's denominator:
-    # the constant -B_k/k! * (k-1)! = -B_k/k, then 2 sigma_{k-1}(n) at q^n
-    D = order.denominator
+    # the constant -B_k/k! * (k-1)! = -B_k/k, then 2 sigma_{k-1}(n) at q^n,
+    # with every sigma_{k-1}(n), n < N, from one divisor sieve
+    D, N = order.denominator, max(1, math.ceil(order))
+    sigma = [0] * N
+    for d in range(1, N):
+        p = d ** (k - 1)
+        for n in range(d, N, d):
+            sigma[n] += p
     terms = [(0, -bernoulli_number(k) / k)]
-    terms += [(n * D, 2 * divisor_sigma(k - 1, n)) for n in range(1, math.ceil(order))]
+    terms += [(n * D, 2 * sigma[n]) for n in range(1, N)]
     return PuiseuxSeries.from_slots(terms, D, order, den=math.factorial(k - 1))
 
 
@@ -168,8 +194,10 @@ def distinct_parts_product(order) -> PuiseuxSeries:
     return (euler_product(order).rescale(2) * partition_gf(order)).truncate(order)
 
 
+@lru_cache(maxsize=8)
 def dedekind_eta(order) -> PuiseuxSeries:
-    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), truncated at `order`."""
+    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), truncated at `order`;
+    memoized, so a run builds (and inverts) each order once."""
     order = Fraction(order)
     return euler_product(order).shifted(Fraction(1, 24)).truncate(order)
 
@@ -187,8 +215,10 @@ def eta_half_period_series(order) -> PuiseuxSeries:
             .shifted(Fraction(1, 48)).truncate(order))
 
 
+@lru_cache(maxsize=8)
 def partition_gf(order) -> PuiseuxSeries:
-    """sum_{n>=0} P(n) q^n = prod (1 - q^n)^{-1}."""
+    """sum_{n>=0} P(n) q^n = prod (1 - q^n)^{-1}; memoized, so the sectors
+    of one order share one build."""
     order = Fraction(order)
     if order <= 0:
         raise SeriesError(f"partition_gf needs a positive order, got {order}")

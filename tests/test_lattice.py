@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qmodver import lattice
 from qmodver.lattice import (_SECTORS, CENTRAL_CHARGE, PREFACTOR_EXP,
                              _lattice_exponent, _partition_counts, all_sectors,
                              character, eta_theta_form, l0_inserted_trace,
@@ -129,3 +130,51 @@ def test_l0_inserted_trace_matches_fraction_reference(order):
     for sector in all_sectors():
         got = l0_inserted_trace(sector, order)
         assert got.to_json_dict() == ref_l0_inserted_trace(sector, order).to_json_dict()
+
+
+def termwise_l0_inserted_trace(sector, order):
+    """The state count walked over every lattice point s in -N..N, each with
+    its own sign, as l0_inserted_trace built it before the points that share
+    an exponent were summed."""
+    alternating, twisted, _ = _SECTORS[(sector.i, sector.j)]
+    order = F(order)
+    D = math.lcm(24, order.denominator)
+    top = math.ceil(order * D)
+    n_max = math.ceil(order - PREFACTOR_EXP + F(1, 8)) + 1
+    counts = _partition_counts(max(0, n_max))
+    N = math.isqrt(max(0, math.ceil(2 * order))) + 3
+    terms = []
+    for s in range(-N, N + 1):
+        es = PREFACTOR_EXP + _lattice_exponent(s, twisted)
+        k0 = es.numerator * (D // es.denominator)
+        sign = -1 if (alternating and s % 2) else 1
+        for n in range(0, n_max + 1):
+            k = k0 + n * D
+            if k >= top:
+                break
+            terms.append((k, sign * counts[n] * k))
+    return PuiseuxSeries.from_slots(terms, D, order, den=D)
+
+
+@pytest.mark.parametrize("order", [F(1, 3), F(7, 2), F(24), F(120), F(301, 3)], ids=str)
+def test_l0_inserted_trace_equals_the_termwise_state_count(order):
+    for sector in all_sectors():
+        assert l0_inserted_trace(sector, order) == termwise_l0_inserted_trace(sector, order)
+
+
+def test_l0_inserted_trace_counts_states_without_the_series_kernels(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("l0_inserted_trace must count states")
+
+    for name in ("q_d_dq", "__mul__", "invert"):
+        monkeypatch.setattr(PuiseuxSeries, name, forbidden)
+    monkeypatch.setattr(lattice, "character", forbidden)
+    for sector in all_sectors():
+        l0_inserted_trace(sector, F(61, 2))
+
+
+def test_character_is_memoized_and_equals_a_fresh_build():
+    sector, order = SectorPair(2, 1, 0), F(40)
+    assert character(sector, order) is character(sector, 40)
+    assert character(sector, order) == character.__wrapped__(sector, order)
+    assert character.cache_info().maxsize is not None

@@ -733,7 +733,7 @@ def test_a_json_document_whose_first_term_is_past_slot_zero_moves_its_offset():
                                          {"i": 2, "coeff": {"num": -1, "den": 3}}]
 
 
-def test_no_code_under_src_reads_the_dense_view(monkeypatch, capsys):
+def test_no_code_under_src_reads_the_dense_view(monkeypatch, capsys, empty_builder_caches):
     """Every suite, the golden digests and the expand/char JSON run with
     `coeffs` raising: the kernels read the stored lattice only."""
     from test_golden import BUILDERS, GOLDEN, ORDER, digest
@@ -756,6 +756,7 @@ def test_no_code_under_src_reads_the_dense_view(monkeypatch, capsys):
         raise AssertionError("a kernel read the dense coefficient view")
 
     monkeypatch.setattr(PuiseuxSeries, "coeffs", property(no_dense_reads))
+    empty_builder_caches()  # the memoized builds run again under the patch
     with pytest.raises(AssertionError, match="dense coefficient view"):
         PuiseuxSeries.one(3).coeffs
     reports, status = run_suite("all")

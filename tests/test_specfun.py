@@ -348,3 +348,34 @@ def test_eta_half_period_series_matches_pointwise_value():
     lhs = cmath.exp(1j * math.pi / 24) * half.evaluate(tau).value
     rhs = eta.evaluate((tau + 1) / 2).value
     assert abs(lhs - rhs) < 1e-12
+
+
+def fraction_bernoulli_numbers(k_max):
+    """B_0..B_k_max by the recurrence sum_{i<=m} C(m+1, i) B_i = 0 in Fractions."""
+    b = []
+    for k in range(k_max + 1):
+        b.append(F(1) if k == 0 else -sum(math.comb(k + 1, i) * b[i] for i in range(k)) / (k + 1))
+    return b
+
+
+def test_bernoulli_numbers_match_the_fraction_recurrence():
+    assert [bernoulli_number(k) for k in range(201)] == fraction_bernoulli_numbers(200)
+    assert all(type(bernoulli_number(k)) is F for k in range(201))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 12, 30])
+@pytest.mark.parametrize("order", [F(0), F(1, 3), F(1), F(41, 3), F(60)], ids=str)
+def test_eisenstein_sieve_matches_divisor_sigma(k, order):
+    ek = eisenstein(k, order)
+    terms = [(F(0), -bernoulli_number(k) / math.factorial(k))]
+    terms += [(F(n), F(2 * divisor_sigma(k - 1, n), math.factorial(k - 1)))
+              for n in range(1, math.ceil(order))]
+    assert ek == PuiseuxSeries.from_terms(terms, order)
+
+
+@pytest.mark.parametrize("builder", [partition_gf, dedekind_eta], ids=lambda f: f.__name__)
+def test_memoized_builders_equal_a_fresh_build(builder):
+    for order in (F(7, 2), 30, F(30)):
+        assert builder(order) == builder.__wrapped__(order)
+    assert builder(F(30)) is builder(F(60, 2))
+    assert builder.cache_info().maxsize is not None

@@ -580,3 +580,12 @@ def test_every_cli_run_ends_with_a_documented_exit_code(argv):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+
+
+def test_closure_suite_builds_each_character_once():
+    # cache misses are the calls that reach the unmemoized builder
+    # (lattice.character.__wrapped__): 3 distinct characters, not 13 builds;
+    # the cache starts empty (tests/conftest.py)
+    run_suite("closure")
+    info = lattice.character.cache_info()
+    assert (info.misses, info.hits) == (3, 10)
