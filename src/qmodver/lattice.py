@@ -99,16 +99,22 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
 
     Each oscillator/lattice state of total exponent e contributes sign * e * q^e,
     so this must agree with q d/dq of the character; the construction here never
-    calls q_d_dq (independent cross-check).  The lattice points that share an
-    exponent, s and 1 - s (untwisted) or s and -s (twisted), are summed first
-    into one weight, so the (0,0) sector, where each pair cancels, counts no
-    state.  States are summed on integer slots k = e * D of the grid
-    D = lcm(24, order.denominator), as numerators over D.
+    calls q_d_dq or any series kernel (independent cross-check).  The lattice
+    points that share an exponent, s and 1 - s (untwisted) or s and -s
+    (twisted), are summed first into one weight, so the (0,0) sector, where
+    each pair cancels, counts no state.  Every state exponent lies on the
+    sector's own lattice, 1/12 + Z (untwisted: 1/12 + s(s-1)/2 + n) or
+    -1/24 + Z/2 (twisted: -1/24 + (s^2 + 2n)/2), so the signed state counts
+    are summed into one list over its points, one strided slice add per
+    lattice point s, and point i is then weighted by its exponent, as a
+    numerator over the grid D = lcm(24, order.denominator).
     """
     alternating, twisted, _ = _SECTORS[_sector_key(sector)]
     order = Fraction(order)
     D = math.lcm(24, order.denominator)
-    top = math.ceil(order * D)
+    # the first exponent and the step of the sector's lattice, in slots of the grid D
+    first, step = (-D // 24, D // 2) if twisted else (D // 12, D)
+    m = max(0, -((first - math.ceil(order * D)) // step))  # lattice points below order
     # the lowest lattice exponent is -1/8 (twisted) or 0: one bound serves every sector
     n_max = math.ceil(order - PREFACTOR_EXP + Fraction(1, 8)) + 1
     counts = _partition_counts(max(0, n_max))
@@ -117,17 +123,22 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
     def sign(s):
         return -1 if (alternating and s % 2) else 1
 
-    # one representative s >= 0 per exponent, with the summed sign of its points
+    # one representative s >= 0 per exponent, with the summed sign of its points;
+    # its state with n oscillator quanta sits at point i0 + n * stride
     if twisted:
         weights = [(0, 1)] + [(s, 2 * sign(s)) for s in range(1, N + 1)]
     else:
         weights = [(s, sign(s) + sign(1 - s)) for s in range(1, N + 1)]
-    terms = []
+    stride = 2 if twisted else 1
+    acc = [0] * m
     for s, weight in weights:
-        if not weight:
+        i0 = s * s if twisted else s * (s - 1) // 2
+        if not weight or i0 >= m:
             continue
-        es = PREFACTOR_EXP + _lattice_exponent(s, twisted)
-        k0 = es.numerator * (D // es.denominator)
-        hi = min(n_max + 1, -((k0 - top) // D))  # the n with k0 + n*D below top
-        terms += [(k0 + n * D, weight * counts[n] * (k0 + n * D)) for n in range(hi)]
-    return PuiseuxSeries.from_slots(terms, D, order, den=D)
+        hi = min(n_max + 1, -((i0 - m) // stride))  # the n with i0 + n*stride below m
+        points = slice(i0, i0 + hi * stride, stride)
+        acc[points] = [a + weight * c for a, c in zip(acc[points], counts)]
+    if not any(acc):
+        return PuiseuxSeries.zero(order)
+    vals = [a * (first + i * step) for i, a in enumerate(acc)]
+    return PuiseuxSeries._from_lattice(D, first, step, vals, order, den=D)

@@ -32,9 +32,16 @@ nonzero pair, or Kronecker substitution, one CPython big-int multiply of the
 operands packed as fixed-width byte digits.  One rule, read from the
 operands alone, picks Kronecker when their nonzero pairs are at least twice
 the bytes it would pack, so sparse series such as the Euler product stay on
-schoolbook and dense ones take Kronecker.  `invert` runs the triangular
-recurrence in integers and keeps its result on the series.  The builders
-that a run repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
+schoolbook and dense ones take Kronecker.  `invert` solves the triangular
+recurrence in integers by halves (van der Hoeven's semi-relaxed division):
+each solved left half of a range reaches the right half through one
+Kronecker product of that block of the inverse with the narrow series, when
+the same rule takes it, and a series whose first block product it turns
+down (the Euler product, eta) runs the recurrence term by term; the result
+is kept on the series.  `**` squares repeatedly and stores what multiplying
+the factors in turn would.  `first_mismatch` spreads both sides onto one
+lattice over one den and compares the two lists.  The builders that a run
+repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
 `lattice.character`) are memoized where they are defined.
 """
 
@@ -162,13 +169,18 @@ def _schoolbook(a, b, m: int) -> list:
     return acc
 
 
+def _bias(nb: int, n: int) -> int:
+    """sum 2^(8nb-1) * 256^(nb*i) over i < n: half a digit in each of n nb-byte digits."""
+    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * n, "little")
+
+
 def _pack(vals, nb: int) -> int:
-    """sum vals[i] * 256^(nb*i) for |vals[i]| < 256^nb: the positive and the
-    negative values each become one string of nb-byte digits."""
-    zero = bytes(nb)
-    pos = b"".join([v.to_bytes(nb, "little") if v > 0 else zero for v in vals])
-    neg = b"".join([(-v).to_bytes(nb, "little") if v < 0 else zero for v in vals])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum vals[i] * 256^(nb*i) for |vals[i]| < 256^nb / 2, in one pass: each
+    value is written as the nonnegative digit vals[i] + 256^nb / 2, and the
+    bias is taken off the packed integer."""
+    half = 1 << (8 * nb - 1)
+    buf = b"".join([(v + half).to_bytes(nb, "little") for v in vals])
+    return int.from_bytes(buf, "little") - _bias(nb, len(vals))
 
 
 def _digit_bytes(a, b) -> int:
@@ -183,16 +195,16 @@ def _kronecker(a, b, m: int) -> list:
 
     Each list is packed as the integer A = sum a_i X^i at X = 256^nb, where
     nb bytes hold bits(a) + bits(b) + bits(min length) + 1 bits, so every
-    product coefficient c_i has |c_i| < X/2.  Adding X/2 to each digit of
-    A*B makes every digit nonnegative, so the digits unpack with no borrow.
+    product coefficient c_i, and every a_i and b_i, has magnitude below X/2.
+    Adding X/2 to each digit of A*B makes every digit nonnegative, so the
+    digits unpack with no borrow.
     """
     nb = _digit_bytes(a, b)
     pa = _pack(a, nb)
     x = pa * pa if b is a else pa * _pack(b, nb)
     half = 1 << (8 * nb - 1)
     size = nb * m
-    bias = int.from_bytes(half.to_bytes(nb, "little") * m, "little")
-    buf = ((x + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    buf = ((x + _bias(nb, m)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
     return [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, size, nb)]
 
 
@@ -200,9 +212,17 @@ def _kronecker_pays(a, b) -> bool:
     """Kronecker when the nonzero pairs of a and b are at least twice the
     bytes it packs: its work grows with those bytes, schoolbook's with the
     pairs.  So sparse operands such as the Euler product, eta and theta,
-    and a sparse operand against a wide dense one, keep schoolbook."""
+    and a sparse operand against a wide dense one, keep schoolbook; so do
+    the inverse's block products whose digits are too wide for their
+    length (1/E4, 1/E6)."""
     pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-    return pairs >= 2 * _digit_bytes(a, b) * (len(a) + len(b))
+    span = 2 * (len(a) + len(b))
+    # the last values alone bound the digit width from below (bits(a[-1]) +
+    # bits(b[-1]) + 2 bits), which turns most sparse pairs down before every
+    # value is read
+    if pairs < span * -(-(a[-1].bit_length() + b[-1].bit_length() + 2) // 8):
+        return False
+    return pairs >= span * _digit_bytes(a, b)
 
 
 def _convolve(a, b, m: int) -> list:
@@ -211,6 +231,74 @@ def _convolve(a, b, m: int) -> list:
     if _kronecker_pays(a, b):
         return _kronecker(a, b, m)
     return _schoolbook(a, b, m)
+
+
+_BLOCK = 64  # invert runs its recurrence directly on ranges of at most this many coefficients
+
+
+def _recur(f: list, tail: list, n0: int, start: int, stop: int):
+    """f[start:stop] by the recurrence f[i] = -(f[i] + sum_{k<=i} n_k f[i-k]) / n0,
+    the nonzero (k, n_k) of n_1, n_2, ... in tail: on entry f[i] holds the
+    terms that reach it from before f's first index."""
+    for i in range(start, stop):
+        s = f[i]
+        for k, x in tail:
+            if k > i:
+                break
+            s += x * f[i - k]
+        f[i] = -s // n0
+
+
+def _reciprocal(n, M: int, top: int) -> list:
+    """The integers e_0, ..., e_{M-1} with n_0 e_0 = top and
+    n_0 e_m = -sum_{k=1..m} n_k e_{m-k}, for an integer list n with n_0 != 0
+    and a top that makes every division exact.
+
+    Divide and conquer over the index range (van der Hoeven's semi-relaxed
+    division): solve the left half of a range, add what it contributes to
+    the right half with one Kronecker product of that block of e against
+    n_1 .. n_{hi-lo-1}, then solve the right half.  Where `_kronecker_pays`
+    turns that product down (a sparse n such as the Euler product, or blocks
+    too wide in bits for their length), or the left half was itself not
+    split, the rest of the range runs the recurrence term by term; so an n
+    whose first block product is turned down is not split at all.  Ranges
+    of at most `_BLOCK` coefficients run the recurrence directly.  Until it
+    is solved, e[m] holds the terms n_k e_{m-k} added so far (-top at m = 0).
+    """
+    tail = [(k, x) for k, x in enumerate(n) if k and x]
+    e = [0] * M
+    e[0] = -top
+
+    def recur(lo: int, start: int, hi: int):
+        # e[start:hi] by the recurrence within the window e[lo:hi]
+        if lo == 0:
+            return _recur(e, tail, n[0], start, hi)
+        window = e[lo:hi]
+        _recur(window, tail, n[0], start - lo, hi - lo)
+        e[lo:hi] = window
+
+    def solve(lo: int, hi: int) -> int:
+        # e[lo:end], returning end: hi, or less when a block product was turned
+        # down, and then e[end:hi] still lacks the terms with lo <= m - k < m
+        if hi - lo <= _BLOCK:
+            recur(lo, lo, hi)
+            return hi
+        mid = (lo + hi) // 2
+        end = solve(lo, mid)
+        if end < mid:
+            return end
+        left, right = e[lo:mid], n[1:hi - lo]
+        if not _kronecker_pays(left, right):
+            return mid
+        c = _kronecker(left, right, hi - lo - 1)  # c[i]: the terms at m = lo + 1 + i
+        e[mid:hi] = map(add, e[mid:hi], c[mid - lo - 1:])
+        end = solve(mid, hi)
+        if end < hi:
+            recur(mid, end, hi)
+        return hi
+
+    recur(0, solve(0, M), M)
+    return e
 
 
 def _on_step(vals, q: int, m: int):
@@ -515,13 +603,25 @@ class PuiseuxSeries(FrozenRecord):
         return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, self.den * other.den)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
+        """self^n by repeated squaring, in the stored form of one(order) times
+        the n factors multiplied in turn.  That product knows the power modulo
+        order + n*lead - max(lead, 0), lead being the order for the zero
+        series; squaring knows more when lead < 0, so its result is cut."""
         if not isinstance(n, int) or n < 0:
             raise SeriesError("series powers must be nonnegative integers (use invert)")
         _require_exact(self)
-        out = PuiseuxSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
-        return out
+        one = PuiseuxSeries.one(self.order)
+        if n < 2:
+            return one * self if n else one
+        lead = self._lead_or_order()
+        order = self.order + n * lead - max(lead, 0)
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        out = out.truncate(order)
+        return out if out.vals else PuiseuxSeries.zero(order)
 
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
@@ -534,6 +634,10 @@ class PuiseuxSeries(FrozenRecord):
         numerators e_m over den = |n_0|^M, M its number of lattice steps
         below the order, which makes every e_m an integer: n_0 e_0 = d den
         and n_0 e_m = -sum_{k>=1} n_k e_{m-k}, with k and m counted in steps.
+        `_reciprocal` solves that recurrence by halves: each solved block of
+        e reaches the coefficients to its right through one Kronecker product
+        with the narrow n, when `_kronecker_pays` takes it; otherwise, as for
+        the sparse Euler product and eta, the recurrence runs term by term.
         """
         try:
             return self._inverse
@@ -546,19 +650,9 @@ class PuiseuxSeries(FrozenRecord):
         # a = a0 q^lead (1 + u); b = a^{-1} known modulo order - 2*lead
         order = self.order - 2 * Fraction(self.offset, D)
         off = -self.offset
-        n = _slot_count(order, D, off)
-        n0 = self.vals[0]
-        tail = [(k, x) for k, x in enumerate(self.vals) if k and x]
-        b = [0] * (-(-n // g) if tail else 1)
-        den = abs(n0) ** len(b)
-        b[0] = self.den * den // n0
-        for m in range(1, len(b)):
-            s = 0
-            for k, w in tail:
-                if k > m:
-                    break
-                s += w * b[m - k]
-            b[m] = -s // n0
+        M = -(-_slot_count(order, D, off) // g) if len(self.vals) > 1 else 1
+        den = abs(self.vals[0]) ** M
+        b = _reciprocal(self.vals, M, self.den * den)
         inverse = PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
         object.__setattr__(self, "_inverse", inverse)
         return inverse
@@ -626,19 +720,38 @@ class PuiseuxSeries(FrozenRecord):
 
     # -- comparison --------------------------------------------------------
 
+    def _on_lattice(self, D: int, d: int, base: int, G: int, m: int) -> list:
+        """Our numerators over d, a multiple of den, at the m points base + i*G
+        of the grid D, a lattice that holds every nonzero slot of ours."""
+        step = D // self.ramification
+        out = [0] * m
+        if self.vals:
+            start, q, f = (self.offset * step - base) // G, self.g * step // G, d // self.den
+            vals = self.vals[:max(0, -((start - m) // q))]
+            out[start:start + len(vals) * q:q] = [v * f for v in vals] if f != 1 else vals
+        return out
+
     def first_mismatch(self, other: "PuiseuxSeries"):
-        """First (exponent, self-coeff, other-coeff) differing below min(order), else None."""
+        """First (exponent, self-coeff, other-coeff) differing below min(order), else None.
+
+        Both sides are spread over one denominator onto one lattice of the
+        common grid that holds the nonzero slots of each, up to the smaller
+        order, and compared as lists; they are walked only when they differ."""
         _require_exact(self, other)
         D, d = lcm(self.ramification, other.ramification), lcm(self.den, other.den)
         top = math.ceil(min(self.order, other.order) * D)
-        a, b = dict(self._slots(D, d)), dict(other._slots(D, d))
-        for k in sorted(a.keys() | b.keys()):
-            if k >= top:
-                break
-            ca, cb = a.get(k, 0), b.get(k, 0)
-            if ca != cb:
-                return Fraction(k, D), _ratio(ca, d), _ratio(cb, d)
-        return None
+        lattices = [(s.offset * (D // s.ramification), s.g * (D // s.ramification))
+                    for s in (self, other) if s.vals]
+        if not lattices:
+            return None
+        base = min(k0 for k0, _ in lattices)
+        G = gcd(*[x for k0, dk in lattices for x in (k0 - base, dk)])
+        m = max(0, -((base - top) // G))  # lattice points below the smaller order
+        a, b = (s._on_lattice(D, d, base, G, m) for s in (self, other))
+        if a == b:
+            return None
+        i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        return Fraction(base + i * G, D), _ratio(a[i], d), _ratio(b[i], d)
 
     def equals(self, other: "PuiseuxSeries") -> bool:
         """Coefficient-wise equality up to min(order), tolerant of grid differences."""

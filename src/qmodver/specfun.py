@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, lcm
 
 from ._record import FrozenRecord
@@ -19,6 +19,21 @@ from .series import COMPLEX, EXACT, PuiseuxSeries, SeriesError
 
 class InvalidTwistError(SeriesError):
     """Q_k with k >= 1 needs (mu, lambda) != (1, 1)."""
+
+
+def _memoized_by_order(build):
+    """build(order) memoized by Fraction(order) in a bounded lru_cache, so an
+    int order and the equal Fraction share one entry (lru_cache keys a lone
+    int argument by the int itself, apart from any Fraction); cache_info and
+    cache_clear are the cache's."""
+    cached = lru_cache(maxsize=8)(build)
+
+    @wraps(build)
+    def builder(order):
+        return cached(Fraction(order))
+
+    builder.cache_info, builder.cache_clear = cached.cache_info, cached.cache_clear
+    return builder
 
 
 @lru_cache(maxsize=1)
@@ -194,7 +209,7 @@ def distinct_parts_product(order) -> PuiseuxSeries:
     return (euler_product(order).rescale(2) * partition_gf(order)).truncate(order)
 
 
-@lru_cache(maxsize=8)
+@_memoized_by_order
 def dedekind_eta(order) -> PuiseuxSeries:
     """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), truncated at `order`;
     memoized, so a run builds (and inverts) each order once."""
@@ -215,7 +230,7 @@ def eta_half_period_series(order) -> PuiseuxSeries:
             .shifted(Fraction(1, 48)).truncate(order))
 
 
-@lru_cache(maxsize=8)
+@_memoized_by_order
 def partition_gf(order) -> PuiseuxSeries:
     """sum_{n>=0} P(n) q^n = prod (1 - q^n)^{-1}; memoized, so the sectors
     of one order share one build."""

@@ -5,13 +5,17 @@ Each property forces one kernel and then the other through the chooser
 (`_kronecker_pays`) and compares the stored forms, which pins every
 coefficient, the grid, the offset, the den and the order.  The shape tests
 pin the chooser's rule: operands with many nonzero pairs per packed byte
-take Kronecker, sparse ones schoolbook.
+take Kronecker, sparse ones schoolbook.  The block inversion, the power by
+squaring and the lattice comparison are checked against test-local copies
+of the loops they replaced.
 """
 
-from contextlib import contextmanager
+import math
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction as F
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +35,7 @@ def forced(name, value):
 
 
 @st.composite
-def lattice_series(draw, max_terms=40):
+def lattice_series(draw, max_terms=40, zero=False):
     """A series on the lattice off + g*Z of the 1/D grid, dense or sparse,
     over a den, with an order that may cut it."""
     D = draw(st.sampled_from([1, 2, 3, 8, 24]))
@@ -46,6 +50,8 @@ def lattice_series(draw, max_terms=40):
     top = off + g * draw(st.integers(min_value=1, max_value=n + 3))
     order = F(top, D) - draw(st.sampled_from([F(0), F(1, 7)]))
     den = draw(st.sampled_from([1, 1, 2, 7, 40]))
+    if zero and draw(st.integers(min_value=0, max_value=5)) == 0:
+        return PuiseuxSeries.zero(order)
     return PuiseuxSeries.from_slots([(off + g * j, v) for j, v in enumerate(vals)],
                                     D, max(order, F(off + 1, D)), den=den)
 
@@ -124,3 +130,141 @@ def test_invert_is_computed_once_per_series():
     first = eta.invert()
     assert eta.invert() is first
     assert first == rebuilt(eta).invert()
+
+
+# -- block inversion -----------------------------------------------------------
+
+def recurrence_inverse(s):
+    """The inverse by the triangular recurrence walked term by term on the
+    support lattice, as `invert` computed it before the block scheme."""
+    D, g = s.ramification, s.g
+    order = s.order - 2 * F(s.offset, D)
+    off = -s.offset
+    n = series._slot_count(order, D, off)
+    n0 = s.vals[0]
+    tail = [(k, x) for k, x in enumerate(s.vals) if k and x]
+    b = [0] * (-(-n // g) if tail else 1)
+    den = abs(n0) ** len(b)
+    b[0] = s.den * den // n0
+    for m in range(1, len(b)):
+        acc = 0
+        for k, w in tail:
+            if k > m:
+                break
+            acc += w * b[m - k]
+        b[m] = -acc // n0
+    return PuiseuxSeries._from_lattice(D, off, g, b, order, series.EXACT, den)
+
+
+@settings(max_examples=250, deadline=None)
+@given(lattice_series(max_terms=90), st.sampled_from([1, 2, 3, 7, 64]),
+       st.one_of(st.none(), st.booleans(), st.randoms(use_true_random=False)))
+def test_block_inversion_equals_the_recurrence(s, block, pays):
+    # small blocks split even short series; the chooser left to its rule,
+    # forced either way (every block product through Kronecker, or none), or
+    # answering at random, which mixes split ranges with ranges that finish
+    # by the recurrence inside a split one
+    if pays is None:
+        chooser = nullcontext()
+    elif isinstance(pays, bool):
+        chooser = forced("_kronecker_pays", pays)
+    else:
+        chooser = patch.object(series, "_kronecker_pays", lambda a, b: pays.random() < 0.5)
+    with patch.object(series, "_BLOCK", block), chooser:
+        assert rebuilt(s).invert() == recurrence_inverse(s)
+
+
+@pytest.mark.parametrize("order", [120, 1500])
+@pytest.mark.parametrize("build", [specfun.euler_product, specfun.dedekind_eta],
+                         ids=lambda f: f.__name__)
+def test_sparse_series_are_inverted_without_a_split(build, order):
+    s = rebuilt(build(F(order)))
+    assert kernels_run(s.invert) == []
+    assert s.invert() == recurrence_inverse(s)
+
+
+def test_the_theta3_row_inverse_is_split_through_kronecker():
+    n = F(120)
+    eta2 = specfun.dedekind_eta(2 * n)
+    quotient = eta2.rescale(2).truncate(2 * n) ** 2 * eta2.rescale(F(1, 2)) ** 2
+    ran = kernels_run(rebuilt(quotient).invert)
+    assert ran and set(ran) == {"kronecker"}
+    assert quotient.invert() == recurrence_inverse(quotient)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(numerators, max_size=40), st.integers(min_value=1, max_value=8))
+def test_pack_is_the_sum_of_its_digits(vals, extra):
+    nb = -(-(series._bits(vals) + extra) // 8)
+    assert series._pack(vals, nb) == sum(v << (8 * nb * i) for i, v in enumerate(vals))
+
+
+# -- powers ---------------------------------------------------------------------
+
+def linear_power(s, n):
+    """one(order) * s * ... * s, the n factors multiplied in turn."""
+    out = PuiseuxSeries.one(s.order)
+    for _ in range(n):
+        out = out * s
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_series(max_terms=12, zero=True), st.integers(min_value=0, max_value=9))
+def test_power_by_squaring_stores_the_linear_product(s, n):
+    # negative leads, den > 1, g > 1 and orders off the grid: the stored form,
+    # order and ramification included, is the linear loop's
+    if s.order <= 0:
+        with pytest.raises(series.SeriesError):
+            s ** n
+        return
+    assert s ** n == linear_power(s, n)
+
+
+# -- comparison -------------------------------------------------------------------
+
+def dict_first_mismatch(a, b):
+    """The first mismatch through two slot dicts and their sorted keys, as
+    `first_mismatch` found it before the lattice lists."""
+    D, d = math.lcm(a.ramification, b.ramification), math.lcm(a.den, b.den)
+    top = math.ceil(min(a.order, b.order) * D)
+    x, y = dict(a._slots(D, d)), dict(b._slots(D, d))
+    for k in sorted(x.keys() | y.keys()):
+        if k >= top:
+            break
+        if x.get(k, 0) != y.get(k, 0):
+            return F(k, D), series._ratio(x.get(k, 0), d), series._ratio(y.get(k, 0), d)
+    return None
+
+
+@st.composite
+def compared_pairs(draw):
+    """A series and a second one on another grid, over another den, at
+    another order: equal to it, zero, or off by one coefficient at its first,
+    its last or any slot, or by a slot off its lattice."""
+    a = draw(lattice_series(zero=True))
+    terms = list(a.terms())
+    D = a.ramification * draw(st.sampled_from([1, 2, 3]))
+    order = a.order + draw(st.sampled_from([F(0), F(0), F(-1, 5), F(1, 3), F(-2)]))
+    how = draw(st.sampled_from(["equal", "zero", "first", "last", "any", "extra"]))
+    if how == "zero":
+        terms = []
+    elif how == "extra":
+        terms.append((a.exponent(0) + F(1, D), draw(numerators.filter(bool))))
+    elif how != "equal" and terms:
+        i = {"first": 0, "last": len(terms) - 1}.get(
+            how, draw(st.integers(min_value=0, max_value=len(terms) - 1)))
+        e, c = terms[i]
+        terms[i] = (e, c + draw(st.sampled_from([F(1), F(-1, 3), F(1, 40)])))
+    b = PuiseuxSeries.from_terms(terms, order, ramification=D)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(compared_pairs())
+def test_first_mismatch_equals_the_dict_walk(pair):
+    a, b = pair
+    got, ref = a.first_mismatch(b), dict_first_mismatch(a, b)
+    assert got == ref
+    if ref is not None:
+        assert [type(v) for v in got] == [type(v) for v in ref]

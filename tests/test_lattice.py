@@ -162,6 +162,14 @@ def test_l0_inserted_trace_equals_the_termwise_state_count(order):
         assert l0_inserted_trace(sector, order) == termwise_l0_inserted_trace(sector, order)
 
 
+@pytest.mark.parametrize("order", [F(-1), F(0), F(1, 24), F(1, 12), F(1, 8), F(7, 12)], ids=str)
+def test_l0_inserted_trace_below_and_at_its_first_states(order):
+    # no lattice point below the order, or only the first few: a zero series
+    # is the canonical zero, whatever the sector's lattice
+    for sector in all_sectors():
+        assert l0_inserted_trace(sector, order) == termwise_l0_inserted_trace(sector, order)
+
+
 def test_l0_inserted_trace_counts_states_without_the_series_kernels(monkeypatch):
     def forbidden(*args):
         raise AssertionError("l0_inserted_trace must count states")

@@ -379,3 +379,12 @@ def test_memoized_builders_equal_a_fresh_build(builder):
         assert builder(order) == builder.__wrapped__(order)
     assert builder(F(30)) is builder(F(60, 2))
     assert builder.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("builder", [partition_gf, dedekind_eta], ids=lambda f: f.__name__)
+def test_an_int_order_and_the_equal_fraction_share_one_memo_entry(builder):
+    first = builder(30)
+    assert builder(F(30)) is first
+    assert builder(F(60, 2)) is first
+    info = builder.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (2, 1, 1, 8)
