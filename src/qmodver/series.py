@@ -216,13 +216,7 @@ def _kronecker_pays(a, b) -> bool:
     the inverse's block products whose digits are too wide for their
     length (1/E4, 1/E6)."""
     pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-    span = 2 * (len(a) + len(b))
-    # the last values alone bound the digit width from below (bits(a[-1]) +
-    # bits(b[-1]) + 2 bits), which turns most sparse pairs down before every
-    # value is read
-    if pairs < span * -(-(a[-1].bit_length() + b[-1].bit_length() + 2) // 8):
-        return False
-    return pairs >= span * _digit_bytes(a, b)
+    return pairs >= 2 * (len(a) + len(b)) * _digit_bytes(a, b)
 
 
 def _convolve(a, b, m: int) -> list:
@@ -236,15 +230,18 @@ def _convolve(a, b, m: int) -> list:
 _BLOCK = 64  # invert runs its recurrence directly on ranges of at most this many coefficients
 
 
-def _recur(f: list, tail: list, n0: int, start: int, stop: int):
-    """f[start:stop] by the recurrence f[i] = -(f[i] + sum_{k<=i} n_k f[i-k]) / n0,
-    the nonzero (k, n_k) of n_1, n_2, ... in tail: on entry f[i] holds the
-    terms that reach it from before f's first index."""
+def _recur(f: list, tail: list, n0: int, lo: int, start: int, stop: int):
+    """f[start:stop] by the recurrence n0 f[i] = -(f[i] + sum n_k f[i-k]) over
+    the nonzero (k, n_k), k >= 1, in tail with i - k >= lo: on entry f[i]
+    holds the terms that reach it from before f[lo].  Those (k, n_k) are a
+    prefix of tail, `near`, that grows with i."""
+    near, j = [], 0
     for i in range(start, stop):
+        while j < len(tail) and tail[j][0] <= i - lo:
+            near.append(tail[j])
+            j += 1
         s = f[i]
-        for k, x in tail:
-            if k > i:
-                break
+        for k, x in near:
             s += x * f[i - k]
         f[i] = -s // n0
 
@@ -269,19 +266,11 @@ def _reciprocal(n, M: int, top: int) -> list:
     e = [0] * M
     e[0] = -top
 
-    def recur(lo: int, start: int, hi: int):
-        # e[start:hi] by the recurrence within the window e[lo:hi]
-        if lo == 0:
-            return _recur(e, tail, n[0], start, hi)
-        window = e[lo:hi]
-        _recur(window, tail, n[0], start - lo, hi - lo)
-        e[lo:hi] = window
-
     def solve(lo: int, hi: int) -> int:
         # e[lo:end], returning end: hi, or less when a block product was turned
         # down, and then e[end:hi] still lacks the terms with lo <= m - k < m
         if hi - lo <= _BLOCK:
-            recur(lo, lo, hi)
+            _recur(e, tail, n[0], lo, lo, hi)
             return hi
         mid = (lo + hi) // 2
         end = solve(lo, mid)
@@ -294,10 +283,10 @@ def _reciprocal(n, M: int, top: int) -> list:
         e[mid:hi] = map(add, e[mid:hi], c[mid - lo - 1:])
         end = solve(mid, hi)
         if end < hi:
-            recur(mid, end, hi)
+            _recur(e, tail, n[0], mid, end, hi)
         return hi
 
-    recur(0, solve(0, M), M)
+    _recur(e, tail, n[0], 0, solve(0, M), M)
     return e
 
 
