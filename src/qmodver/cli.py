@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import lattice, specfun, verify
+# mobius is not called here: perfbench/tracer.py rebinds this name, so a traced run needs it
 from .modgroup import ModularMatrix, SectorPair, mobius
 from .series import EvaluationError, PuiseuxSeries, SeriesError
 

@@ -10,10 +10,6 @@ from math import lcm
 from ._record import FrozenRecord
 
 
-class PoleError(ArithmeticError):
-    """c*tau + d vanished numerically (cannot happen strictly inside H)."""
-
-
 class ModularMatrix(FrozenRecord):
     __slots__ = _fields = ("a", "b", "c", "d")
 
@@ -62,10 +58,7 @@ def require_upper_half(tau: complex) -> complex:
 def mobius(m: ModularMatrix, tau: complex) -> complex:
     """(a tau + b)/(c tau + d); preserves the upper half plane."""
     tau = require_upper_half(tau)
-    den = m.c * tau + m.d
-    if den == 0:
-        raise PoleError(f"c*tau + d = 0 at tau = {tau}")
-    return (m.a * tau + m.b) / den
+    return (m.a * tau + m.b) / (m.c * tau + m.d)
 
 
 class SectorPair(FrozenRecord):
@@ -93,9 +86,6 @@ def slash_factor(k, m: ModularMatrix, tau: complex) -> complex:
     """(c tau + d)^{-k}, principal branch for non-integer weight k."""
     tau = require_upper_half(tau)
     k = Fraction(k)
-    den = m.c * tau + m.d
-    if den == 0:
-        raise PoleError(f"c*tau + d = 0 at tau = {tau}")
     if k == 0:
         return 1.0 + 0j
-    return cmath.exp(-float(k) * cmath.log(den))
+    return cmath.exp(-float(k) * cmath.log(m.c * tau + m.d))

@@ -33,12 +33,9 @@ operands packed as fixed-width byte digits.  One rule, read from the
 operands alone, picks Kronecker when their nonzero pairs are at least twice
 the bytes it would pack, so sparse series such as the Euler product stay on
 schoolbook and dense ones take Kronecker.  `invert` solves the triangular
-recurrence in integers by halves (van der Hoeven's semi-relaxed division):
-each solved left half of a range reaches the right half through one
-Kronecker product of that block of the inverse with the narrow series, when
-the same rule takes it, and a series whose first block product it turns
-down (the Euler product, eta) runs the recurrence term by term; the result
-is kept on the series.  `**` squares repeatedly and stores what multiplying
+recurrence in integers by halves (van der Hoeven's semi-relaxed division),
+through block products where the same rule takes them, and keeps the
+result on the series.  `**` squares repeatedly and stores what multiplying
 the factors in turn would.  `first_mismatch` spreads both sides onto one
 lattice over one den and compares the two lists.  The builders that a run
 repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
@@ -252,41 +249,35 @@ def _reciprocal(n, M: int, top: int) -> list:
     and a top that makes every division exact.
 
     Divide and conquer over the index range (van der Hoeven's semi-relaxed
-    division): solve the left half of a range, add what it contributes to
-    the right half with one Kronecker product of that block of e against
-    n_1 .. n_{hi-lo-1}, then solve the right half.  Where `_kronecker_pays`
-    turns that product down (a sparse n such as the Euler product, or blocks
-    too wide in bits for their length), or the left half was itself not
-    split, the rest of the range runs the recurrence term by term; so an n
-    whose first block product is turned down is not split at all.  Ranges
-    of at most `_BLOCK` coefficients run the recurrence directly.  Until it
-    is solved, e[m] holds the terms n_k e_{m-k} added so far (-top at m = 0).
+    division): `solve(lo, hi)` solves e[lo:hi] when e[m] holds, for each m
+    in the range, the terms n_k e_{m-k} with m - k < lo (-top at m = 0).
+    It solves the left half, then reaches the right half from it in one of
+    two ways.  When `_kronecker_pays` takes the product of that block of e
+    with n_1 .. n_{hi-lo-1}, it adds the product to the right half and
+    solves that half the same way; otherwise (a sparse n such as the Euler
+    product, or blocks too wide in bits for their length) the right half
+    runs the recurrence term by term, summing the terms from e[lo] on.
+    Ranges of at most `_BLOCK` coefficients run the recurrence directly.
     """
     tail = [(k, x) for k, x in enumerate(n) if k and x]
     e = [0] * M
     e[0] = -top
 
-    def solve(lo: int, hi: int) -> int:
-        # e[lo:end], returning end: hi, or less when a block product was turned
-        # down, and then e[end:hi] still lacks the terms with lo <= m - k < m
+    def solve(lo: int, hi: int) -> None:
         if hi - lo <= _BLOCK:
             _recur(e, tail, n[0], lo, lo, hi)
-            return hi
+            return
         mid = (lo + hi) // 2
-        end = solve(lo, mid)
-        if end < mid:
-            return end
+        solve(lo, mid)
         left, right = e[lo:mid], n[1:hi - lo]
         if not _kronecker_pays(left, right):
-            return mid
+            _recur(e, tail, n[0], lo, mid, hi)
+            return
         c = _kronecker(left, right, hi - lo - 1)  # c[i]: the terms at m = lo + 1 + i
         e[mid:hi] = map(add, e[mid:hi], c[mid - lo - 1:])
-        end = solve(mid, hi)
-        if end < hi:
-            _recur(e, tail, n[0], mid, end, hi)
-        return hi
+        solve(mid, hi)
 
-    _recur(e, tail, n[0], 0, solve(0, M), M)
+    solve(0, M)
     return e
 
 
@@ -623,10 +614,8 @@ class PuiseuxSeries(FrozenRecord):
         numerators e_m over den = |n_0|^M, M its number of lattice steps
         below the order, which makes every e_m an integer: n_0 e_0 = d den
         and n_0 e_m = -sum_{k>=1} n_k e_{m-k}, with k and m counted in steps.
-        `_reciprocal` solves that recurrence by halves: each solved block of
-        e reaches the coefficients to its right through one Kronecker product
-        with the narrow n, when `_kronecker_pays` takes it; otherwise, as for
-        the sparse Euler product and eta, the recurrence runs term by term.
+        `_reciprocal` solves that recurrence by halves, through block
+        products where `_kronecker_pays` takes them.
         """
         try:
             return self._inverse

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmodver.modgroup import (IDENTITY, S, T, ModularMatrix, SectorPair,
                               act_on_pair, is_in_gamma, mobius, require_upper_half,
@@ -112,3 +114,22 @@ class TestSlashFactor:
         got = slash_factor(F(1, 2), S, 2j)
         want = cmath.exp(-0.5 * cmath.log(2j))
         assert abs(got - want) < 1e-15
+
+
+words = st.lists(st.sampled_from([S, T, T.inverse()]), min_size=1, max_size=20)
+# Im tau log-uniform over [1e-300, 1e3]
+taus = st.builds(lambda x, e: complex(x, 10.0 ** e), st.floats(min_value=-1e3, max_value=1e3),
+                 st.floats(min_value=-300, max_value=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, taus, st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)]))
+def test_no_pole_inside_the_upper_half_plane(word, tau, k):
+    # det = 1 and Im tau > 0: c != 0 gives Im(c tau + d) = c Im tau != 0, and
+    # c = 0 forces d = +-1.  Weights |k| <= 1 keep |c tau + d|^-k in float range.
+    m = IDENTITY
+    for w in word:
+        m = m @ w
+    assert m.c * tau + m.d != 0
+    mobius(m, tau)
+    slash_factor(k, m, tau)
