@@ -37,8 +37,9 @@ recurrence in integers by halves (van der Hoeven's semi-relaxed division),
 through block products where the same rule takes them, and keeps the
 result on the series.  `**` squares repeatedly and stores what multiplying
 the factors in turn would.  `first_mismatch` spreads both sides onto one
-lattice over one den and compares the two lists.  The builders that a run
-repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
+lattice over one den and compares the two lists, which `__add__` sums;
+`_on_lattice` places them and each operand of `__mul__`.  The builders that
+a run repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
 `lattice.character`) are memoized where they are defined.
 """
 
@@ -281,15 +282,6 @@ def _reciprocal(n, M: int, top: int) -> list:
     return e
 
 
-def _on_step(vals, q: int, m: int):
-    """vals[j] at index j*q, zeros between, cut to the first m indices."""
-    if q == 1:
-        return vals[:m]
-    out = [0] * ((len(vals) - 1) * q + 1)
-    out[::q] = vals
-    return out[:m]
-
-
 def _spread(values: dict, domain: str) -> tuple[int, list]:
     """(g, vals) for {i: value} with slot indices i >= 0: vals[j] is the value
     at i = j*g (the domain's zero where there is none), g the gcd of the
@@ -468,13 +460,6 @@ class PuiseuxSeries(FrozenRecord):
         return PuiseuxSeries._from_lattice(
             D, base, *_spread({k - base: acc[k] for k in nonzero}, domain), order, domain, den)
 
-    def _slots(self, D: int, d: int) -> list:
-        """Nonzero (k, numerator over d) pairs, exponent k/D, on a grid D and a
-        denominator d divisible by ours."""
-        step, m = D // self.ramification, d // self.den
-        k0, dk = self.offset * step, self.g * step
-        return [(k0 + j * dk, v * m) for j, v in enumerate(self.vals) if v]
-
     # -- structure ---------------------------------------------------------
 
     def exponent(self, i: int) -> Fraction:
@@ -541,11 +526,11 @@ class PuiseuxSeries(FrozenRecord):
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        _require_exact(self, other)
-        order = min(self.order, other.order)
-        D = lcm(self.ramification, other.ramification, order.denominator)
-        d = lcm(self.den, other.den)
-        return PuiseuxSeries.from_slots(self._slots(D, d) + other._slots(D, d), D, order, den=d)
+        D, d, base, G, order, a, b = self._on_common_lattice(other)
+        sums = list(map(add, a, b))
+        if not any(sums):
+            return PuiseuxSeries.zero(order)
+        return PuiseuxSeries._from_lattice(D, base, G, sums, order, EXACT, d)
 
     def __neg__(self) -> "PuiseuxSeries":
         return self.scale(-1)
@@ -577,8 +562,8 @@ class PuiseuxSeries(FrozenRecord):
         m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
         if m == 0 or not self.vals or not other.vals:
             return PuiseuxSeries.zero(order)
-        a = _on_step(self.vals, self.g * pa // G, m)
-        b = a if other is self else _on_step(other.vals, other.g * pb // G, m)
+        a = self._on_lattice(D, self.den, self.offset * pa, G, m)
+        b = a if other is self else other._on_lattice(D, other.den, other.offset * pb, G, m)
         acc = _convolve(a, b, m)
         return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, self.den * other.den)
 
@@ -696,18 +681,42 @@ class PuiseuxSeries(FrozenRecord):
         order = min(_as_fraction(order), self.order)
         return self._regrid(self.ramification, self.offset, order)
 
-    # -- comparison --------------------------------------------------------
+    # -- lattice placement and comparison ----------------------------------
 
     def _on_lattice(self, D: int, d: int, base: int, G: int, m: int) -> list:
-        """Our numerators over d, a multiple of den, at the m points base + i*G
-        of the grid D, a lattice that holds every nonzero slot of ours."""
+        """Our numerators over d, a multiple of den, at the points base + i*G,
+        i < m, of the grid D, a lattice that holds every nonzero slot of ours;
+        the list ends at our last value placed."""
         step = D // self.ramification
-        out = [0] * m
-        if self.vals:
-            start, q, f = (self.offset * step - base) // G, self.g * step // G, d // self.den
-            vals = self.vals[:max(0, -((start - m) // q))]
-            out[start:start + len(vals) * q:q] = [v * f for v in vals] if f != 1 else vals
+        start = (self.offset * step - base) // G
+        if not self.vals or start >= m:
+            return []
+        q, f = self.g * step // G, d // self.den
+        vals = self.vals[:-((start - m) // q)]
+        out = [0] * (start + (len(vals) - 1) * q + 1)
+        out[start::q] = vals if f == 1 else [v * f for v in vals]
         return out
+
+    def _on_common_lattice(self, other: "PuiseuxSeries") -> tuple:
+        """(D, d, base, G, order, a, b): both sides as numerators over d =
+        lcm(dens) at the points base + i*G of the grid D below the smaller
+        order, a lattice from the lower offset that holds the nonzero slots of
+        both; the two lists have one length."""
+        _require_exact(self, other)
+        order = min(self.order, other.order)
+        D = lcm(self.ramification, other.ramification, order.denominator)
+        d = lcm(self.den, other.den)
+        lattices = [(s.offset * (D // s.ramification), s.g * (D // s.ramification))
+                    for s in (self, other) if s.vals]
+        # two zero series place nothing, on any lattice
+        base = min([k0 for k0, _ in lattices], default=0)
+        G = gcd(*[x for k0, dk in lattices for x in (k0 - base, dk)]) or 1
+        m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
+        a, b = (s._on_lattice(D, d, base, G, m) for s in (self, other))
+        n = max(len(a), len(b))
+        a += [0] * (n - len(a))
+        b += [0] * (n - len(b))
+        return D, d, base, G, order, a, b
 
     def first_mismatch(self, other: "PuiseuxSeries"):
         """First (exponent, self-coeff, other-coeff) differing below min(order), else None.
@@ -715,17 +724,7 @@ class PuiseuxSeries(FrozenRecord):
         Both sides are spread over one denominator onto one lattice of the
         common grid that holds the nonzero slots of each, up to the smaller
         order, and compared as lists; they are walked only when they differ."""
-        _require_exact(self, other)
-        D, d = lcm(self.ramification, other.ramification), lcm(self.den, other.den)
-        top = math.ceil(min(self.order, other.order) * D)
-        lattices = [(s.offset * (D // s.ramification), s.g * (D // s.ramification))
-                    for s in (self, other) if s.vals]
-        if not lattices:
-            return None
-        base = min(k0 for k0, _ in lattices)
-        G = gcd(*[x for k0, dk in lattices for x in (k0 - base, dk)])
-        m = max(0, -((base - top) // G))  # lattice points below the smaller order
-        a, b = (s._on_lattice(D, d, base, G, m) for s in (self, other))
+        D, d, base, G, _, a, b = self._on_common_lattice(other)
         if a == b:
             return None
         i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)

@@ -424,14 +424,12 @@ def qk_suite(exact_order=None, numeric_order=None, tol=None) -> list[CheckReport
         reports.append(CheckReport(name, "exact-series", not detail, o_exact, details=detail))
 
     gamma = ModularMatrix(1, 0, 2, 1)
-    member = is_in_gamma(gamma, 2, 1)
-    reports.append(CheckReport("Q2-gamma-in-Gamma(2,1)", "exact-series", member,
+    reports.append(CheckReport("Q2-gamma-in-Gamma(2,1)", "exact-series", is_in_gamma(gamma, 2, 1),
                                Fraction(0), details=[{"gamma": list(gamma.entries())}]))
-    if member:
-        q2n = specfun.q_twisted(2, mu_lam, o_num)
-        reports.append(check_transform_numeric(
-            "Q2-weight-2-modularity", q2n, q2n,
-            TransformSpec(gamma, Fraction(2), 1.0 + 0j, (1j,), tolerance)))
+    q2n = specfun.q_twisted(2, mu_lam, o_num)
+    reports.append(check_transform_numeric(
+        "Q2-weight-2-modularity", q2n, q2n,
+        TransformSpec(gamma, Fraction(2), 1.0 + 0j, (1j,), tolerance)))
     return reports
 
 

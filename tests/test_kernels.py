@@ -225,10 +225,12 @@ def test_power_by_squaring_stores_the_linear_product(s, n):
 
 def dict_first_mismatch(a, b):
     """The first mismatch through two slot dicts and their sorted keys, as
-    `first_mismatch` found it before the lattice lists."""
+    `first_mismatch` found it before the lattice lists.  The dicts are read
+    from `terms()`, numerator on the common grid to numerator over the
+    common den, so this reference does not place a series on a lattice."""
     D, d = math.lcm(a.ramification, b.ramification), math.lcm(a.den, b.den)
     top = math.ceil(min(a.order, b.order) * D)
-    x, y = dict(a._slots(D, d)), dict(b._slots(D, d))
+    x, y = ({int(e * D): int(c * d) for e, c in s.terms()} for s in (a, b))
     for k in sorted(x.keys() | y.keys()):
         if k >= top:
             break
