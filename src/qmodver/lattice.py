@@ -74,12 +74,14 @@ def character(sector: SectorPair, order) -> CharacterData:
     return CharacterData(sector, CENTRAL_CHARGE, series)
 
 
+@lru_cache(maxsize=32)
 def eta_theta_form(sector: SectorPair, order) -> PuiseuxSeries:
-    """The closed form eta(tau)^{-1} theta_i(q) matched to the sector."""
+    """The closed form theta_i(q) / eta(tau) matched to the sector, by exact
+    division; memoized, as `character` is."""
     _, _, theta_index = _SECTORS[_sector_key(sector)]
     order = Fraction(order)
     inner = order + 1
-    return (dedekind_eta(inner).invert() * jacobi_theta(theta_index, inner)).truncate(order)
+    return (jacobi_theta(theta_index, inner) / dedekind_eta(inner)).truncate(order)
 
 
 @lru_cache(maxsize=1)

@@ -32,15 +32,21 @@ nonzero pair, or Kronecker substitution, one CPython big-int multiply of the
 operands packed as fixed-width byte digits.  One rule, read from the
 operands alone, picks Kronecker when their nonzero pairs are at least twice
 the bytes it would pack, so sparse series such as the Euler product stay on
-schoolbook and dense ones take Kronecker.  `invert` solves the triangular
-recurrence in integers by halves (van der Hoeven's semi-relaxed division),
-through block products where the same rule takes them, and keeps the
-result on the series.  `**` squares repeatedly and stores what multiplying
-the factors in turn would.  `first_mismatch` spreads both sides onto one
-lattice over one den and compares the two lists, which `__add__` sums;
-`_on_lattice` places them and each operand of `__mul__`.  The builders that
-a run repeats (`specfun.partition_gf`, `specfun.dedekind_eta`,
-`lattice.character`) are memoized where they are defined.
+schoolbook and dense ones take Kronecker.  `a / b` solves b c = a in
+integers on the quotient lattice by halves (van der Hoeven's semi-relaxed
+division), so its values stay as wide as the quotient's, and stores what
+a * b.invert() would; `invert` is the same solver with a = [1], and keeps
+its result on the series.  Each solved block reaches the rest of its range
+through a block product where the same rule takes it, through schoolbook
+where the rule turns it down but at least half the block is zero (a sparse
+quotient such as theta), and otherwise through the recurrence term by term
+(the dense inverse of the Euler product).  `**` squares repeatedly and
+stores what multiplying the factors in turn would.  `first_mismatch` spreads
+both sides onto one lattice over one den and compares the two lists, which
+`__add__` sums; `_on_lattice` places them and each operand of `__mul__` and
+`/`.  The builders that a run repeats (`specfun.partition_gf`,
+`specfun.dedekind_eta`, `lattice.character`, `lattice.eta_theta_form`) are
+memoized where they are defined.
 """
 
 from __future__ import annotations
@@ -210,9 +216,9 @@ def _kronecker_pays(a, b) -> bool:
     """Kronecker when the nonzero pairs of a and b are at least twice the
     bytes it packs: its work grows with those bytes, schoolbook's with the
     pairs.  So sparse operands such as the Euler product, eta and theta,
-    and a sparse operand against a wide dense one, keep schoolbook; so do
-    the inverse's block products whose digits are too wide for their
-    length (1/E4, 1/E6)."""
+    and a sparse operand against a wide dense one, keep schoolbook, and
+    `_quotient` turns down block products whose digits are too wide for
+    their length (1/E4, 1/E6)."""
     pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
     return pairs >= 2 * (len(a) + len(b)) * _digit_bytes(a, b)
 
@@ -225,14 +231,15 @@ def _convolve(a, b, m: int) -> list:
     return _schoolbook(a, b, m)
 
 
-_BLOCK = 64  # invert runs its recurrence directly on ranges of at most this many coefficients
+_BLOCK = 64  # _quotient runs the recurrence directly on ranges of at most this many terms
 
 
 def _recur(f: list, tail: list, n0: int, lo: int, start: int, stop: int):
     """f[start:stop] by the recurrence n0 f[i] = -(f[i] + sum n_k f[i-k]) over
     the nonzero (k, n_k), k >= 1, in tail with i - k >= lo: on entry f[i]
-    holds the terms that reach it from before f[lo].  Those (k, n_k) are a
-    prefix of tail, `near`, that grows with i."""
+    holds the negated right-hand side and the terms that reach it from
+    before f[lo].  Those (k, n_k) are a prefix of tail, `near`, that grows
+    with i."""
     near, j = [], 0
     for i in range(start, stop):
         while j < len(tail) and tail[j][0] <= i - lo:
@@ -244,25 +251,31 @@ def _recur(f: list, tail: list, n0: int, lo: int, start: int, stop: int):
         f[i] = -s // n0
 
 
-def _reciprocal(n, M: int, top: int) -> list:
-    """The integers e_0, ..., e_{M-1} with n_0 e_0 = top and
-    n_0 e_m = -sum_{k=1..m} n_k e_{m-k}, for an integer list n with n_0 != 0
-    and a top that makes every division exact.
+def _quotient(a, n, M: int, top: int) -> list:
+    """The integers e_0, ..., e_{M-1} with
+    n_0 e_m = top a_m - sum_{k=1..m} n_k e_{m-k}, for integer lists a (at
+    most M entries, zero beyond) and n with n_0 != 0, and a top that makes
+    every division exact: top times the first M coefficients of a/n.  The
+    reciprocal is a = [1].
 
     Divide and conquer over the index range (van der Hoeven's semi-relaxed
     division): `solve(lo, hi)` solves e[lo:hi] when e[m] holds, for each m
-    in the range, the terms n_k e_{m-k} with m - k < lo (-top at m = 0).
-    It solves the left half, then reaches the right half from it in one of
-    two ways.  When `_kronecker_pays` takes the product of that block of e
-    with n_1 .. n_{hi-lo-1}, it adds the product to the right half and
-    solves that half the same way; otherwise (a sparse n such as the Euler
-    product, or blocks too wide in bits for their length) the right half
-    runs the recurrence term by term, summing the terms from e[lo] on.
-    Ranges of at most `_BLOCK` coefficients run the recurrence directly.
+    in the range, -top a_m plus the terms n_k e_{m-k} with m - k < lo.  It
+    solves the left half, then reaches the right half from it in one of
+    three ways.  When `_kronecker_pays` takes the product of that block of e
+    with n_1 .. n_{hi-lo-1}, or when it turns the product down but at least
+    half of the block is zero (a sparse quotient such as theta), it adds the
+    product, by Kronecker or schoolbook, to the right half and solves that
+    half the same way.  Schoolbook forms about nnz(block) * nnz(n) pairs,
+    about twice the cross pairs the recurrence reads per nonzero of the
+    block, hence the half.  Otherwise (a dense block against a sparse n, as
+    in the inverse of the Euler product, or blocks too wide in bits for
+    their length) the right half runs the recurrence term by term, summing
+    the terms from e[lo] on.  Ranges of at most `_BLOCK` coefficients run the
+    recurrence directly.
     """
     tail = [(k, x) for k, x in enumerate(n) if k and x]
-    e = [0] * M
-    e[0] = -top
+    e = [-top * x for x in a] + [0] * (M - len(a))
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _BLOCK:
@@ -271,10 +284,13 @@ def _reciprocal(n, M: int, top: int) -> list:
         mid = (lo + hi) // 2
         solve(lo, mid)
         left, right = e[lo:mid], n[1:hi - lo]
-        if not _kronecker_pays(left, right):
+        if _kronecker_pays(left, right):
+            c = _kronecker(left, right, hi - lo - 1)  # c[i]: the terms at m = lo + 1 + i
+        elif 2 * left.count(0) >= len(left):
+            c = _schoolbook(left, right, hi - lo - 1)
+        else:
             _recur(e, tail, n[0], lo, mid, hi)
             return
-        c = _kronecker(left, right, hi - lo - 1)  # c[i]: the terms at m = lo + 1 + i
         e[mid:hi] = map(add, e[mid:hi], c[mid - lo - 1:])
         solve(mid, hi)
 
@@ -599,8 +615,8 @@ class PuiseuxSeries(FrozenRecord):
         numerators e_m over den = |n_0|^M, M its number of lattice steps
         below the order, which makes every e_m an integer: n_0 e_0 = d den
         and n_0 e_m = -sum_{k>=1} n_k e_{m-k}, with k and m counted in steps.
-        `_reciprocal` solves that recurrence by halves, through block
-        products where `_kronecker_pays` takes them.
+        `_quotient` solves that recurrence by halves with the right-hand
+        side [1], through block products where they pay.
         """
         try:
             return self._inverse
@@ -615,10 +631,41 @@ class PuiseuxSeries(FrozenRecord):
         off = -self.offset
         M = -(-_slot_count(order, D, off) // g) if len(self.vals) > 1 else 1
         den = abs(self.vals[0]) ** M
-        b = _reciprocal(self.vals, M, self.den * den)
+        b = _quotient([1], self.vals, M, self.den * den)
         inverse = PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
         object.__setattr__(self, "_inverse", inverse)
         return inverse
+
+    def __truediv__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
+        """self / other, exact, stored as self * other.invert() is, at the
+        order that product knows, without forming the inverse.
+
+        On the quotient lattice base + i*G (our lattice less the divisor's
+        offset), with our numerators a_i over d_a and the divisor's n_k over
+        d_b, the quotient is stored as numerators e_i over d_a |n_0|^m, m its
+        number of lattice points below the order: n_0 e_i = d_b |n_0|^m a_i -
+        sum_{k>=1} n_k e_{i-k}, which `_quotient` solves.  Its values stay as
+        wide as the quotient's, where the inverse's may grow with m.
+        """
+        if not isinstance(other, PuiseuxSeries):
+            return NotImplemented
+        _require_exact(self, other)
+        if not other.vals:
+            raise NonInvertibleError("cannot divide by a series with no nonzero retained term")
+        lead = Fraction(other.offset, other.ramification)
+        order = min(self.order - lead, other.order - 2 * lead + self._lead_or_order())
+        D = lcm(self.ramification, other.ramification, order.denominator)
+        pa, pb = D // self.ramification, D // other.ramification
+        G = gcd(self.g * pa, other.g * pb)
+        base = self.offset * pa - other.offset * pb
+        m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
+        if m == 0 or not self.vals:
+            return PuiseuxSeries.zero(order)
+        a = self._on_lattice(D, self.den, self.offset * pa, G, m)
+        n = other._on_lattice(D, other.den, other.offset * pb, G, m)
+        den = abs(n[0]) ** m
+        e = _quotient(a, n, m, other.den * den)
+        return PuiseuxSeries._from_lattice(D, base, G, e, order, EXACT, self.den * den)
 
     def q_d_dq(self) -> "PuiseuxSeries":
         """The derivation q d/dq, i.e. (2 pi i)^{-1} d/dtau: c q^e -> c e q^e."""

@@ -258,11 +258,11 @@ def identities_suite(exact_order=None) -> list[CheckReport]:
              for i, j in ((0, 1), (1, 1), (1, 0))]
     rows += [
         _ExactRow("theta2-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(2, o_std),
-                  lambda: (eta_double ** 2 * eta.invert()).scale(2)),
+                  lambda: (eta_double ** 2 / eta).scale(2)),
         _ExactRow("theta3-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(3, o_std),
-                  lambda: eta2 ** 5 * (eta_double ** 2 * eta_half ** 2).invert()),
+                  lambda: eta2 ** 5 / (eta_double ** 2 * eta_half ** 2)),
         _ExactRow("theta4-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(4, o_std),
-                  lambda: eta_half ** 2 * eta.invert()),
+                  lambda: eta_half ** 2 / eta),
     ]
     rows += [_ExactRow(f"l0-insertion-({i},{j})", o_deriv, 20,
                        lambda sp=sp: lattice.l0_inserted_trace(sp, o_deriv),

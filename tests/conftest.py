@@ -4,7 +4,8 @@ from qmodver import lattice, specfun
 
 
 def _empty_builder_caches():
-    for builder in (specfun.partition_gf, specfun.dedekind_eta, lattice.character):
+    for builder in (specfun.partition_gf, specfun.dedekind_eta, lattice.character,
+                    lattice.eta_theta_form):
         builder.cache_clear()
 
 

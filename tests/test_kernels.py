@@ -7,7 +7,8 @@ coefficient, the grid, the offset, the den and the order.  The shape tests
 pin the chooser's rule: operands with many nonzero pairs per packed byte
 take Kronecker, sparse ones schoolbook.  The block inversion, the power by
 squaring and the lattice comparison are checked against test-local copies
-of the loops they replaced.
+of the loops they replaced, and division against the product with the
+inverse.
 """
 
 import math
@@ -32,6 +33,16 @@ def forced(name, value):
     """The chooser `name` answering `value`."""
     with patch.object(series, name, lambda *args: value):
         yield
+
+
+def choosers(pays):
+    """The chooser left to its rule (None), forced either way, or answering
+    at random."""
+    if pays is None:
+        return nullcontext()
+    if isinstance(pays, bool):
+        return forced("_kronecker_pays", pays)
+    return patch.object(series, "_kronecker_pays", lambda a, b: pays.random() < 0.5)
 
 
 @st.composite
@@ -161,16 +172,10 @@ def recurrence_inverse(s):
        st.one_of(st.none(), st.booleans(), st.randoms(use_true_random=False)))
 def test_block_inversion_equals_the_recurrence(s, block, pays):
     # small blocks split even short series; the chooser left to its rule,
-    # forced either way (every block product through Kronecker, or none), or
-    # answering at random, which mixes split ranges with ranges that finish
-    # by the recurrence inside a split one
-    if pays is None:
-        chooser = nullcontext()
-    elif isinstance(pays, bool):
-        chooser = forced("_kronecker_pays", pays)
-    else:
-        chooser = patch.object(series, "_kronecker_pays", lambda a, b: pays.random() < 0.5)
-    with patch.object(series, "_BLOCK", block), chooser:
+    # forced either way (every block product through Kronecker, or only the
+    # sparse blocks' through schoolbook), or answering at random, which mixes
+    # split ranges with ranges that finish by the recurrence inside a split one
+    with patch.object(series, "_BLOCK", block), choosers(pays):
         assert rebuilt(s).invert() == recurrence_inverse(s)
 
 
@@ -190,6 +195,70 @@ def test_the_theta3_row_inverse_is_split_through_kronecker():
     ran = kernels_run(rebuilt(quotient).invert)
     assert ran and set(ran) == {"kronecker"}
     assert quotient.invert() == recurrence_inverse(quotient)
+
+
+# -- division ---------------------------------------------------------------------
+
+@st.composite
+def division_pairs(draw):
+    """(a, b): any dividend, or b times another series, so that a sparse
+    factor makes a sparse quotient whose declined block products take
+    schoolbook."""
+    b = draw(lattice_series(max_terms=90))
+    if draw(st.booleans()):
+        return draw(lattice_series(max_terms=90, zero=True)), b
+    return b * draw(lattice_series(max_terms=90, zero=True)), b
+
+
+@settings(max_examples=250, deadline=None)
+@given(division_pairs(), st.sampled_from([1, 2, 3, 7, 64]),
+       st.one_of(st.none(), st.booleans(), st.randoms(use_true_random=False)))
+def test_division_stores_the_product_with_the_inverse(pair, block, pays):
+    # dens > 1, g > 1, |n_0| > 1, orders off the grid and zero dividends
+    a, b = pair
+    with patch.object(series, "_BLOCK", block), choosers(pays):
+        got = a / b
+    ref = a * rebuilt(b).invert()
+    assert (got.order, got.ramification) == (ref.order, ref.ramification)
+    assert got == ref
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(series.NonInvertibleError):
+        specfun.dedekind_eta(10) / PuiseuxSeries.zero(10)
+    with pytest.raises(series.NonInvertibleError):
+        PuiseuxSeries.zero(10) / PuiseuxSeries.zero(10)
+
+
+def test_division_of_complex_series_raises():
+    eta = specfun.dedekind_eta(10)
+    for a, b in ((eta, eta.to_complex()), (eta.to_complex(), eta)):
+        with pytest.raises(series.WrongDomainError):
+            a / b
+
+
+def theta3_row(n):
+    """The theta3-eta row at order n: eta(2 tau)^5 and the divisor
+    eta(2 tau)^2 eta(tau/2)^2."""
+    eta2 = specfun.dedekind_eta(2 * n)
+    return eta2 ** 5, eta2.rescale(2).truncate(2 * n) ** 2 * eta2.rescale(F(1, 2)) ** 2
+
+
+def test_the_theta3_row_division_takes_schoolbook_for_its_sparse_blocks():
+    # at N = 120 the quotient (theta3, 240 half-integer slots, 16 nonzero)
+    # reaches its right halves through two Kronecker block products; the
+    # third block, 3 nonzero values in 60, is turned down and is sparse, so
+    # it takes schoolbook where the recurrence ran before
+    power, divisor = theta3_row(F(120))
+    assert kernels_run(lambda: power / divisor) == ["kronecker", "kronecker", "schoolbook"]
+    assert power / divisor == power * rebuilt(divisor).invert()
+
+
+def test_the_deep_theta3_row_division_takes_both_block_kernels():
+    power, divisor = theta3_row(F(600))
+    ran = kernels_run(lambda: power / divisor)
+    assert set(ran) == {"kronecker", "schoolbook"}
+    assert power / divisor == power * rebuilt(divisor).invert()
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +312,9 @@ def dict_first_mismatch(a, b):
 def compared_pairs(draw):
     """A series and a second one on another grid, over another den, at
     another order: equal to it, zero, or off by one coefficient at its first,
-    its last or any slot, or by a slot off its lattice."""
+    its last or any slot, or by one more term, one slot of the finer grid
+    before its first term, after any term or after its last, so that a value
+    lost at the tail of the coarser side is reached."""
     a = draw(lattice_series(zero=True))
     terms = list(a.terms())
     D = a.ramification * draw(st.sampled_from([1, 2, 3]))
@@ -252,7 +323,12 @@ def compared_pairs(draw):
     if how == "zero":
         terms = []
     elif how == "extra":
-        terms.append((a.exponent(0) + F(1, D), draw(numerators.filter(bool))))
+        # one slot of the finer grid before the first term, after any term
+        # (between two, or on the next one), or after the last
+        exps = [e for e, _ in terms] or [a.exponent(0)]
+        e = draw(st.sampled_from([exps[0] - F(1, D), exps[-1] + F(1, D)])
+                 | st.sampled_from(exps).map(lambda x: x + F(1, D)))
+        terms.append((e, draw(numerators.filter(bool))))
     elif how != "equal" and terms:
         i = {"first": 0, "last": len(terms) - 1}.get(
             how, draw(st.integers(min_value=0, max_value=len(terms) - 1)))

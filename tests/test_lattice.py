@@ -89,6 +89,19 @@ class TestEtaThetaForm:
         for sector in all_sectors():
             assert character(sector, 30).series.equals(eta_theta_form(sector, 30))
 
+    def test_is_memoized_and_divides_without_an_inverse(self, monkeypatch):
+        # the character side inverts the Euler product (partition_gf); this
+        # side divides theta by eta, so the two sides share no inverse
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eta_theta_form must divide, not invert")
+
+        expected = {sector: character(sector, 40).series for sector in all_sectors()}
+        monkeypatch.setattr(PuiseuxSeries, "invert", forbidden)
+        for sector in all_sectors():
+            assert eta_theta_form(sector, F(40)) is eta_theta_form(sector, 40)
+            assert eta_theta_form(sector, 40).equals(expected[sector])
+        assert eta_theta_form.cache_info().maxsize is not None
+
 
 class TestL0InsertedTrace:
     def test_vanishing_sector(self):
