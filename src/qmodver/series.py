@@ -21,7 +21,8 @@ Complex-domain series (python `complex` coefficients with finite components)
 are evaluation-only: they can be built, serialized, read, regridded
 (`truncate`, `rescale`, `shifted`) and evaluated, and every arithmetic or
 comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
-series directly and returns, bit for bit, what their `to_complex()` returns.
+series directly and returns, bit for bit, what their `to_complex()` returns;
+it sums only the terms before `exp` underflows to zero.
 
 The exact kernels compute on the stored integers and carry den, never
 converting a coefficient to float or Fraction, and read and write lattice
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -66,6 +68,11 @@ COMPLEX = "complex"
 
 Coeff = Union[int, Fraction, complex]
 RationalLike = Union[Fraction, int]
+
+# exp(x) is exactly 0.0 for every float x below about -745.13, so evaluate
+# skips a term whose Re(w * e) is below this; -750 leaves a margin for the
+# rounding of w * e and of the cut exponent
+_EXP_UNDERFLOW = -750.0
 
 
 class SeriesError(Exception):
@@ -794,10 +801,16 @@ class PuiseuxSeries(FrozenRecord):
         The value is the sum, in increasing exponent order from 0j, of
         complex(c) * exp(w * e) with w = 2 pi i tau and e the correctly rounded
         float exponent of each nonzero term, read from the cached float view,
-        so an exact series evaluates bit for bit as its to_complex() does.  That is
-        the float arithmetic of summing c * exp(2 pi i tau * float(e)) over
-        Fraction exponents, so results are bit-identical to it; keep the
-        per-term exp (Horner's rule or powers of q would round differently).
+        so an exact series evaluates bit for bit as its to_complex() does.  The
+        sum stops before the first exponent with Re(w * e) < _EXP_UNDERFLOW,
+        found by bisection, when w * e is finite at the last exponent: past it
+        every exp(w * e) is (+-0, +-0) and every term a signed zero, and a sum
+        that starts at +0j never becomes -0.0, so adding them changes no bit
+        and raises nothing.  A skipped term counts as 0.0 among the last five
+        that the tail and the reliability flag read.  So results are
+        bit-identical to summing c * exp(2 pi i tau * float(e)) over every
+        term with Fraction exponents; keep the per-term exp (Horner's rule or
+        powers of q would round differently).
         """
         tau = complex(tau)
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
@@ -810,10 +823,15 @@ class PuiseuxSeries(FrozenRecord):
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
         exps, cs = self._float_view()
         w = 2j * math.pi * tau
+        n = cut = len(exps)
+        if exps and cmath.isfinite(w * exps[-1]):
+            # Re(w) = -2 pi Im(tau) < 0, and |w * e| grows with e > 0, so
+            # every skipped w * e is finite too
+            cut = bisect_right(exps, _EXP_UNDERFLOW / w.real)
         exp = cmath.exp
-        terms = [c * exp(w * e) for e, c in zip(exps, cs)]
+        terms = [c * exp(w * e) for e, c in zip(exps[:cut], cs[:cut])]
         value = reduce(add, terms, 0j)
-        recent = [abs(t) for t in terms[-5:]]
+        recent = ([abs(t) for t in terms[-5:]] + [0.0] * min(n - cut, 5))[-5:]
         tail = (recent[-1] if recent else 0.0) * rho / (1.0 - rho)
         reliable = all(x >= y for x, y in zip(recent, recent[1:]))
         return EvalResult(value, tail, reliable)

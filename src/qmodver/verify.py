@@ -154,7 +154,7 @@ _LEAD_BOUND = 1
 def _numeric_law(name: str, sides: dict, points, tol: float, residual) -> CheckReport:
     """The numeric pass rule over the sample points.
 
-    `residual(tau)` returns (residual, tail bound, extra detail fields) of a
+    `residual(tau)` returns (residual, tail estimate, extra detail fields) of a
     law between the series `sides` (label -> series); the law passes when
     every residual is below tol and every tail below tol/10.  A side with no
     nonzero term below its order has value 0 and tail 0 at every tau, so such

@@ -1,8 +1,10 @@
+import cmath
 import copy
 import json
 import math
 import pickle
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -578,6 +580,59 @@ def test_evaluate_reference_sees_overflow_and_convergence_errors():
     eta = specfun.dedekind_eta(5)
     assert outcome(eta.evaluate, 0.01j).startswith("InsufficientConvergence")
     assert outcome(eta.evaluate, 0.01j) == outcome(reference_evaluate, eta, 0.01j)
+    # w * e has an infinite imaginary part from e = 29 on, past the underflow cut
+    assert outcome(specfun.dedekind_eta(60).evaluate, 1e306 + 10j) \
+        == "ValueError: math domain error"
+
+
+def q2_400():
+    return specfun.q_twisted(2, specfun.TwistParams(1, 2, 0, 1), 400)
+
+
+def cut_inside_last_five():
+    # exponents 0..9 at Im tau = 750/(2 pi 7.5): exp(w e) underflows from e = 8 on
+    terms = [(F(e), complex(3 - e, 0.5 * e)) for e in range(10)]
+    return PuiseuxSeries.from_terms(terms, 10, COMPLEX)
+
+
+# explicit inputs that reach the underflow cut on their tau side; an exact
+# series is also checked as its to_complex()
+@pytest.mark.parametrize("build, tau", [
+    (lambda: specfun.eisenstein(4, 2000), 3j),
+    (q2_400, 1j),
+    (q2_400, 0.3 + 3j),
+    (cut_inside_last_five, 0.2 + 750j / (2 * math.pi * 7.5)),
+    # Re(w * 8) = -745.0: exp is the least subnormal, so the term must be kept
+    (lambda: PuiseuxSeries.from_terms([(F(8), 1), (F(9), 1)], 10), 745j / (2 * math.pi * 8)),
+    (lambda: specfun.dedekind_eta(60), 1e306 + 10j),
+], ids=["E4-2000", "Q2-400-i", "Q2-400-3i", "cut-in-last-five", "subnormal-term-kept",
+        "eta-60-exp-domain-error"])
+def test_evaluate_matches_the_reference_past_the_underflow_cut(build, tau):
+    s = build()
+    got = outcome(s.evaluate, tau)
+    assert got == outcome(reference_evaluate, s, tau)
+    if s.domain == EXACT:
+        assert got == outcome(s.to_complex().evaluate, tau)
+
+
+def exp_calls(op):
+    """The number of cmath.exp calls that op() makes."""
+    calls = []
+    exp = cmath.exp
+    with patch.object(cmath, "exp", lambda z: calls.append(z) or exp(z)):
+        op()
+    return len(calls)
+
+
+def test_evaluate_stops_where_exp_underflows():
+    q2 = q2_400().to_complex()
+    tau = 3j
+    assert len(q2.vals) == 800
+    assert exp_calls(lambda: q2.evaluate(tau)) < 100
+    # its image tau/(2 tau + 1) under (1,0,2,1) has Im 3/37: no term underflows
+    assert exp_calls(lambda: q2.evaluate(tau / (2 * tau + 1))) == 800
+    short = cut_inside_last_five()
+    assert exp_calls(lambda: short.evaluate(750j / (2 * math.pi * 7.5))) == 8
 
 
 @pytest.mark.parametrize("tau", [complex("nan"), complex(0, float("nan")),

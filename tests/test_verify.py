@@ -364,6 +364,13 @@ class TestCli:
                          "--lhs", "eta", "--rhs", "eta", "--tau", "0,0.001"])
         assert code == 3
 
+    def test_exp_domain_error_exits_2(self, capsys):
+        # w * e has an infinite imaginary part in eta's far terms: cmath.exp raises
+        code = cli.main(["transform", "--gamma", "1,1,0,1", "--lhs", "eta", "--rhs", "eta",
+                         "--tau", "1e306,10"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: math domain error\n"
+
 
 class TestCliFlags:
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
