@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .modgroup import SectorPair
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, _slot_count
 from .specfun import dedekind_eta, jacobi_theta, partition_gf
 
 CENTRAL_CHARGE = Fraction(-2)
@@ -116,7 +116,7 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
     D = math.lcm(24, order.denominator)
     # the first exponent and the step of the sector's lattice, in slots of the grid D
     first, step = (-D // 24, D // 2) if twisted else (D // 12, D)
-    m = max(0, -((first - math.ceil(order * D)) // step))  # lattice points below order
+    m = _slot_count(order, D, first, step)
     # the lowest lattice exponent is -1/8 (twisted) or 0: one bound serves every sector
     n_max = math.ceil(order - PREFACTOR_EXP + Fraction(1, 8)) + 1
     counts = _partition_counts(max(0, n_max))

@@ -22,7 +22,8 @@ are evaluation-only: they can be built, serialized, read, regridded
 (`truncate`, `rescale`, `shifted`) and evaluated, and every arithmetic or
 comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
 series directly and returns, bit for bit, what their `to_complex()` returns;
-it sums only the terms before `exp` underflows to zero.
+it sums only the terms before `exp` underflows to zero, and refuses a tau
+whose phases exp(2 pi i Re(tau) e) would carry no correct bit.
 
 The exact kernels compute on the stored integers and carry den, never
 converting a coefficient to float or Fraction, and read and write lattice
@@ -36,18 +37,19 @@ the bytes it would pack, so sparse series such as the Euler product stay on
 schoolbook and dense ones take Kronecker.  `a / b` solves b c = a in
 integers on the quotient lattice by halves (van der Hoeven's semi-relaxed
 division), so its values stay as wide as the quotient's, and stores what
-a * b.invert() would; `invert` is the same solver with a = [1], and keeps
-its result on the series.  Each solved block reaches the rest of its range
+a * b.invert() would; `invert` is the same solver with a = [1] on the
+divisor's own lattice.  Each solved block reaches the rest of its range
 through a block product where the same rule takes it, through schoolbook
 where the rule turns it down but at least half the block is zero (a sparse
 quotient such as theta), and otherwise through the recurrence term by term
 (the dense inverse of the Euler product).  `**` squares repeatedly and
 stores what multiplying the factors in turn would.  `first_mismatch` spreads
 both sides onto one lattice over one den and compares the two lists, which
-`__add__` sums; `_on_lattice` places them and each operand of `__mul__` and
-`/`.  The builders that a run repeats (`specfun.partition_gf`,
-`specfun.dedekind_eta`, `lattice.character`, `lattice.eta_theta_form`) are
-memoized where they are defined.
+`__add__` sums; `__mul__` and `/` share one placement, `_on_pair_lattice`.
+`_on_lattice` places every operand, and `_slot_count` counts the points of
+every lattice below an order.  The builders that a run repeats
+(`specfun.partition_gf`, `specfun.dedekind_eta`, `lattice.character`,
+`lattice.eta_theta_form`) are memoized where they are defined.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ RationalLike = Union[Fraction, int]
 # skips a term whose Re(w * e) is below this; -750 leaves a margin for the
 # rounding of w * e and of the cut exponent
 _EXP_UNDERFLOW = -750.0
+# at |Im(w * e)| >= 2^52 adjacent floats are at least 1 apart, so the phase
+# of exp(w * e) carries no correct bit and evaluate refuses the tau
+_PHASE_LIMIT = 2.0 ** 52
 
 
 class SeriesError(Exception):
@@ -153,11 +158,11 @@ def _check_coeff(c: Coeff, domain: str) -> Coeff:
     return c
 
 
-def _slot_count(order: RationalLike, ramification: int, offset: int) -> int:
-    # number of integers i >= 0 with (offset + i)/D < order, in integers:
-    # ceil(order * D - offset) = -((offset * d - n * D) // d) for order = n/d
-    d = order.denominator
-    return max(0, -((offset * d - order.numerator * ramification) // d))
+def _slot_count(order: RationalLike, D: int, off: int, step: int = 1) -> int:
+    """The number of lattice points below the order: integers i >= 0 with
+    (off + i*step)/D < order, ceil((ceil(order * D) - off) / step), in integers."""
+    top = -(-order.numerator * D // order.denominator)
+    return max(0, -((off - top) // step))
 
 
 def _bits(vals) -> int:
@@ -228,14 +233,6 @@ def _kronecker_pays(a, b) -> bool:
     their length (1/E4, 1/E6)."""
     pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
     return pairs >= 2 * (len(a) + len(b)) * _digit_bytes(a, b)
-
-
-def _convolve(a, b, m: int) -> list:
-    """The first m coefficients of the product of the integer lists a and b,
-    each of at most m entries, by the kernel `_kronecker_pays` picks."""
-    if _kronecker_pays(a, b):
-        return _kronecker(a, b, m)
-    return _schoolbook(a, b, m)
 
 
 _BLOCK = 64  # _quotient runs the recurrence directly on ranges of at most this many terms
@@ -329,13 +326,11 @@ class PuiseuxSeries(FrozenRecord):
     g the gcd spacing of the nonzero slots (1 when there are fewer than two).
     So `==`, hashing, `lead`, `is_zero` and `support_step` read fields.
     `coeffs` is the dense tuple over every slot; repr and pickling show the
-    dense fields.  `_float_cache` is filled on first evaluation, `_inverse`
-    on the first `invert()`.
+    dense fields.  `_float_cache` is filled on first evaluation.
     """
 
     _fields = ("ramification", "offset", "coeffs", "order", "domain")
-    __slots__ = ("ramification", "offset", "g", "vals", "den", "order", "domain", "_float_cache",
-                 "_inverse")
+    __slots__ = ("ramification", "offset", "g", "vals", "den", "order", "domain", "_float_cache")
 
     def __init__(self, ramification: int, offset: int, coeffs: tuple, order: Fraction,
                  domain: str):
@@ -577,17 +572,10 @@ class PuiseuxSeries(FrozenRecord):
         _require_exact(self, other)
         order = min(self.order + other._lead_or_order(),
                     other.order + self._lead_or_order())
-        D = lcm(self.ramification, other.ramification, order.denominator)
-        # the operands' lattices on grid D, and the product lattice base + G*Z
-        pa, pb = D // self.ramification, D // other.ramification
-        G = gcd(self.g * pa, other.g * pb)
-        base = self.offset * pa + other.offset * pb
-        m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
-        if m == 0 or not self.vals or not other.vals:
+        D, base, G, m, a, b = self._on_pair_lattice(other, order, 1)
+        if not a or not b:
             return PuiseuxSeries.zero(order)
-        a = self._on_lattice(D, self.den, self.offset * pa, G, m)
-        b = a if other is self else other._on_lattice(D, other.den, other.offset * pb, G, m)
-        acc = _convolve(a, b, m)
+        acc = _kronecker(a, b, m) if _kronecker_pays(a, b) else _schoolbook(a, b, m)
         return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, self.den * other.den)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
@@ -614,10 +602,10 @@ class PuiseuxSeries(FrozenRecord):
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
 
-        Computed once per series: the result is kept in the private slot
-        `_inverse`.  Runs the triangular recurrence on the support lattice,
-        step g slots (24 for eta on its 1/24 grid), and stores the inverse
-        there: every other coefficient of the inverse is zero.
+        Runs the triangular recurrence on the support lattice, step g slots
+        (24 for eta on its 1/24 grid), and stores the inverse there: every
+        other coefficient of the inverse is zero (off `_on_pair_lattice`:
+        this lattice is what makes `a / b` store exactly `a * b.invert()`).
         With the stored numerators n_k over d, the inverse is stored as
         numerators e_m over den = |n_0|^M, M its number of lattice steps
         below the order, which makes every e_m an integer: n_0 e_0 = d den
@@ -625,10 +613,6 @@ class PuiseuxSeries(FrozenRecord):
         `_quotient` solves that recurrence by halves with the right-hand
         side [1], through block products where they pay.
         """
-        try:
-            return self._inverse
-        except AttributeError:
-            pass
         _require_exact(self)
         if not self.vals:
             raise NonInvertibleError("cannot invert a series with no nonzero retained term")
@@ -636,12 +620,10 @@ class PuiseuxSeries(FrozenRecord):
         # a = a0 q^lead (1 + u); b = a^{-1} known modulo order - 2*lead
         order = self.order - 2 * Fraction(self.offset, D)
         off = -self.offset
-        M = -(-_slot_count(order, D, off) // g) if len(self.vals) > 1 else 1
+        M = _slot_count(order, D, off, g) if len(self.vals) > 1 else 1
         den = abs(self.vals[0]) ** M
         b = _quotient([1], self.vals, M, self.den * den)
-        inverse = PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
-        object.__setattr__(self, "_inverse", inverse)
-        return inverse
+        return PuiseuxSeries._from_lattice(D, off, g, b, order, EXACT, den)
 
     def __truediv__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         """self / other, exact, stored as self * other.invert() is, at the
@@ -661,15 +643,9 @@ class PuiseuxSeries(FrozenRecord):
             raise NonInvertibleError("cannot divide by a series with no nonzero retained term")
         lead = Fraction(other.offset, other.ramification)
         order = min(self.order - lead, other.order - 2 * lead + self._lead_or_order())
-        D = lcm(self.ramification, other.ramification, order.denominator)
-        pa, pb = D // self.ramification, D // other.ramification
-        G = gcd(self.g * pa, other.g * pb)
-        base = self.offset * pa - other.offset * pb
-        m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
-        if m == 0 or not self.vals:
+        D, base, G, m, a, n = self._on_pair_lattice(other, order, -1)
+        if not a:
             return PuiseuxSeries.zero(order)
-        a = self._on_lattice(D, self.den, self.offset * pa, G, m)
-        n = other._on_lattice(D, other.den, other.offset * pb, G, m)
         den = abs(n[0]) ** m
         e = _quotient(a, n, m, other.den * den)
         return PuiseuxSeries._from_lattice(D, base, G, e, order, EXACT, self.den * den)
@@ -686,7 +662,7 @@ class PuiseuxSeries(FrozenRecord):
         offset off and the given order; slots that fall at or beyond the order
         are dropped.  The lattice step becomes g*p."""
         gp = self.g * p
-        m = -(-_slot_count(order, D, off) // gp)  # the j with j*g*p below the order
+        m = _slot_count(order, D, off, gp)
         return PuiseuxSeries._from_lattice(D, off, gp, self.vals[:m], order, self.domain,
                                            self.den)
 
@@ -751,6 +727,21 @@ class PuiseuxSeries(FrozenRecord):
         out[start::q] = vals if f == 1 else [v * f for v in vals]
         return out
 
+    def _on_pair_lattice(self, other: "PuiseuxSeries", order: Fraction, sign: int) -> tuple:
+        """(D, base, G, m, a, b) for `*` (sign 1) and `/` (sign -1): the result
+        lattice base + i*G, i < m, below the order on the grid D = lcm(both
+        ramifications, order.denominator), with base our offset plus sign
+        times theirs and G the gcd of both steps; a and b are our numerators
+        and theirs, each placed from its own offset at step G."""
+        D = lcm(self.ramification, other.ramification, order.denominator)
+        pa, pb = D // self.ramification, D // other.ramification
+        G = gcd(self.g * pa, other.g * pb)
+        base = self.offset * pa + sign * other.offset * pb
+        m = _slot_count(order, D, base, G)
+        a = self._on_lattice(D, self.den, self.offset * pa, G, m)
+        b = a if other is self else other._on_lattice(D, other.den, other.offset * pb, G, m)
+        return D, base, G, m, a, b
+
     def _on_common_lattice(self, other: "PuiseuxSeries") -> tuple:
         """(D, d, base, G, order, a, b): both sides as numerators over d =
         lcm(dens) at the points base + i*G of the grid D below the smaller
@@ -765,7 +756,7 @@ class PuiseuxSeries(FrozenRecord):
         # two zero series place nothing, on any lattice
         base = min([k0 for k0, _ in lattices], default=0)
         G = gcd(*[x for k0, dk in lattices for x in (k0 - base, dk)]) or 1
-        m = max(0, -((base - math.ceil(order * D)) // G))  # lattice points below order
+        m = _slot_count(order, D, base, G)
         a, b = (s._on_lattice(D, d, base, G, m) for s in (self, other))
         n = max(len(a), len(b))
         a += [0] * (n - len(a))
@@ -807,7 +798,10 @@ class PuiseuxSeries(FrozenRecord):
         every exp(w * e) is (+-0, +-0) and every term a signed zero, and a sum
         that starts at +0j never becomes -0.0, so adding them changes no bit
         and raises nothing.  A skipped term counts as 0.0 among the last five
-        that the tail and the reliability flag read.  So results are
+        that the tail and the reliability flag read.  Before any exp, it raises
+        `EvaluationError` when |Im(w) * e| reaches `_PHASE_LIMIT` at a kept
+        exponent: that phase would carry no correct bit (and at such a tau,
+        tau + 1 may round to tau).  Otherwise results are
         bit-identical to summing c * exp(2 pi i tau * float(e)) over every
         term with Fraction exponents; keep the per-term exp (Horner's rule or
         powers of q would round differently).
@@ -828,6 +822,10 @@ class PuiseuxSeries(FrozenRecord):
             # Re(w) = -2 pi Im(tau) < 0, and |w * e| grows with e > 0, so
             # every skipped w * e is finite too
             cut = bisect_right(exps, _EXP_UNDERFLOW / w.real)
+        if cut and abs(w.imag) * max(-exps[0], exps[cut - 1]) >= _PHASE_LIMIT:
+            raise EvaluationError(
+                f"Re(tau) = {tau.real} is too large: the phases of the terms at "
+                f"tau = {tau} carry no correct bit")
         exp = cmath.exp
         terms = [c * exp(w * e) for e, c in zip(exps[:cut], cs[:cut])]
         value = reduce(add, terms, 0j)

@@ -67,11 +67,6 @@ def lattice_series(draw, max_terms=40, zero=False):
                                     D, max(order, F(off + 1, D)), den=den)
 
 
-def rebuilt(s):
-    """An equal series with an empty inverse slot."""
-    return PuiseuxSeries.from_json_dict(s.to_json_dict())
-
-
 @settings(max_examples=150, deadline=None)
 @given(lattice_series(), lattice_series())
 def test_kronecker_product_equals_schoolbook(a, b):
@@ -136,11 +131,19 @@ def test_the_chooser_counts_nonzeros_not_only_lengths():
     assert kernels_run(lambda: dense * dense) == ["kronecker"]
 
 
-def test_invert_is_computed_once_per_series():
-    eta = rebuilt(specfun.dedekind_eta(30))
-    first = eta.invert()
-    assert eta.invert() is first
-    assert first == rebuilt(eta).invert()
+# -- lattice counts -------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-60, max_value=60, max_denominator=13),
+       st.integers(min_value=1, max_value=48), st.integers(min_value=-200, max_value=200),
+       st.integers(min_value=1, max_value=50))
+def test_slot_count_is_the_number_of_lattice_points_below_the_order(order, D, off, step):
+    # orders on and off the grid 1/D, offsets either side of 0, steps 1 to 50,
+    # against a walk up the lattice off + i*step
+    n = 0
+    while F(off + n * step, D) < order:
+        n += 1
+    assert series._slot_count(order, D, off, step) == n
 
 
 # -- block inversion -----------------------------------------------------------
@@ -176,14 +179,14 @@ def test_block_inversion_equals_the_recurrence(s, block, pays):
     # sparse blocks' through schoolbook), or answering at random, which mixes
     # split ranges with ranges that finish by the recurrence inside a split one
     with patch.object(series, "_BLOCK", block), choosers(pays):
-        assert rebuilt(s).invert() == recurrence_inverse(s)
+        assert s.invert() == recurrence_inverse(s)
 
 
 @pytest.mark.parametrize("order", [120, 1500])
 @pytest.mark.parametrize("build", [specfun.euler_product, specfun.dedekind_eta],
                          ids=lambda f: f.__name__)
 def test_sparse_series_are_inverted_without_a_split(build, order):
-    s = rebuilt(build(F(order)))
+    s = build(F(order))
     assert kernels_run(s.invert) == []
     assert s.invert() == recurrence_inverse(s)
 
@@ -192,7 +195,7 @@ def test_the_theta3_row_inverse_is_split_through_kronecker():
     n = F(120)
     eta2 = specfun.dedekind_eta(2 * n)
     quotient = eta2.rescale(2).truncate(2 * n) ** 2 * eta2.rescale(F(1, 2)) ** 2
-    ran = kernels_run(rebuilt(quotient).invert)
+    ran = kernels_run(quotient.invert)
     assert ran and set(ran) == {"kronecker"}
     assert quotient.invert() == recurrence_inverse(quotient)
 
@@ -218,7 +221,7 @@ def test_division_stores_the_product_with_the_inverse(pair, block, pays):
     a, b = pair
     with patch.object(series, "_BLOCK", block), choosers(pays):
         got = a / b
-    ref = a * rebuilt(b).invert()
+    ref = a * b.invert()
     assert (got.order, got.ramification) == (ref.order, ref.ramification)
     assert got == ref
 
@@ -251,14 +254,14 @@ def test_the_theta3_row_division_takes_schoolbook_for_its_sparse_blocks():
     # it takes schoolbook where the recurrence ran before
     power, divisor = theta3_row(F(120))
     assert kernels_run(lambda: power / divisor) == ["kronecker", "kronecker", "schoolbook"]
-    assert power / divisor == power * rebuilt(divisor).invert()
+    assert power / divisor == power * divisor.invert()
 
 
 def test_the_deep_theta3_row_division_takes_both_block_kernels():
     power, divisor = theta3_row(F(600))
     ran = kernels_run(lambda: power / divisor)
     assert set(ran) == {"kronecker", "schoolbook"}
-    assert power / divisor == power * rebuilt(divisor).invert()
+    assert power / divisor == power * divisor.invert()
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qmodver import cli, lattice, specfun
 from qmodver.modgroup import SectorPair
 from qmodver.series import (COMPLEX, EXACT, BeyondTruncationError,
-                            DomainPromotionRequired, EvalResult,
+                            DomainPromotionRequired, EvalResult, EvaluationError,
                             InsufficientConvergence, NonInvertibleError,
                             NotInUpperHalfPlane, PuiseuxSeries, SeriesError,
                             WrongDomainError)
@@ -580,9 +580,13 @@ def test_evaluate_reference_sees_overflow_and_convergence_errors():
     eta = specfun.dedekind_eta(5)
     assert outcome(eta.evaluate, 0.01j).startswith("InsufficientConvergence")
     assert outcome(eta.evaluate, 0.01j) == outcome(reference_evaluate, eta, 0.01j)
-    # w * e has an infinite imaginary part from e = 29 on, past the underflow cut
-    assert outcome(specfun.dedekind_eta(60).evaluate, 1e306 + 10j) \
-        == "ValueError: math domain error"
+    # w * e has an infinite imaginary part from e = 29 on: the reference's exp
+    # raises, and evaluate refuses the tau first
+    eta = specfun.dedekind_eta(60)
+    assert outcome(reference_evaluate, eta, 1e306 + 10j) == "ValueError: math domain error"
+    assert outcome(eta.evaluate, 1e306 + 10j) == (
+        "EvaluationError: Re(tau) = 1e+306 is too large: the phases of the terms at "
+        "tau = (1e+306+10j) carry no correct bit")
 
 
 def q2_400():
@@ -597,22 +601,43 @@ def cut_inside_last_five():
 
 # explicit inputs that reach the underflow cut on their tau side; an exact
 # series is also checked as its to_complex()
-@pytest.mark.parametrize("build, tau", [
-    (lambda: specfun.eisenstein(4, 2000), 3j),
-    (q2_400, 1j),
-    (q2_400, 0.3 + 3j),
-    (cut_inside_last_five, 0.2 + 750j / (2 * math.pi * 7.5)),
+@pytest.mark.parametrize("build, tau, refused", [
+    (lambda: specfun.eisenstein(4, 2000), 3j, False),
+    (q2_400, 1j, False),
+    (q2_400, 0.3 + 3j, False),
+    (cut_inside_last_five, 0.2 + 750j / (2 * math.pi * 7.5), False),
     # Re(w * 8) = -745.0: exp is the least subnormal, so the term must be kept
-    (lambda: PuiseuxSeries.from_terms([(F(8), 1), (F(9), 1)], 10), 745j / (2 * math.pi * 8)),
-    (lambda: specfun.dedekind_eta(60), 1e306 + 10j),
+    (lambda: PuiseuxSeries.from_terms([(F(8), 1), (F(9), 1)], 10), 745j / (2 * math.pi * 8),
+     False),
+    # the reference's exp raises a domain error; evaluate refuses the tau
+    (lambda: specfun.dedekind_eta(60), 1e306 + 10j, True),
 ], ids=["E4-2000", "Q2-400-i", "Q2-400-3i", "cut-in-last-five", "subnormal-term-kept",
         "eta-60-exp-domain-error"])
-def test_evaluate_matches_the_reference_past_the_underflow_cut(build, tau):
+def test_evaluate_matches_the_reference_past_the_underflow_cut(build, tau, refused):
     s = build()
     got = outcome(s.evaluate, tau)
-    assert got == outcome(reference_evaluate, s, tau)
+    if refused:
+        assert outcome(reference_evaluate, s, tau) == "ValueError: math domain error"
+        assert got.startswith("EvaluationError: Re(tau) = 1e+306 is too large")
+    else:
+        assert got == outcome(reference_evaluate, s, tau)
     if s.domain == EXACT:
         assert got == outcome(s.to_complex().evaluate, tau)
+
+
+def test_evaluate_refuses_a_phase_with_no_correct_bit():
+    # |Im(w) e| = 2 pi |Re(tau) e| reaches 2^52 at Re(tau) = 2^52 / (2 pi |e|),
+    # from either end of the kept exponents; a term past the underflow cut
+    # does not count
+    edge = 2.0 ** 52 / (2 * math.pi)
+    q1 = PuiseuxSeries.from_terms([(F(1), 1)], 2)
+    assert q1.evaluate(0.99 * edge + 1j).value != 0
+    with pytest.raises(EvaluationError, match="carry no correct bit"):
+        q1.evaluate(1.01 * edge + 1j)
+    with pytest.raises(EvaluationError):
+        PuiseuxSeries.from_terms([(F(-2), 1), (F(1), 1)], 2).evaluate(0.6 * edge + 1j)
+    far = PuiseuxSeries.from_terms([(F(1), 1), (F(1000), 1)], 1001)
+    assert far.evaluate(0.99 * edge + 1j).value == q1.evaluate(0.99 * edge + 1j).value
 
 
 def exp_calls(op):

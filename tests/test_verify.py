@@ -364,12 +364,18 @@ class TestCli:
                          "--lhs", "eta", "--rhs", "eta", "--tau", "0,0.001"])
         assert code == 3
 
-    def test_exp_domain_error_exits_2(self, capsys):
-        # w * e has an infinite imaginary part in eta's far terms: cmath.exp raises
-        code = cli.main(["transform", "--gamma", "1,1,0,1", "--lhs", "eta", "--rhs", "eta",
-                         "--tau", "1e306,10"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: math domain error\n"
+    @pytest.mark.parametrize("argv, re_tau", [
+        # w * e has an infinite imaginary part in eta's far terms, where
+        # cmath.exp would raise a domain error
+        (["--lhs", "eta", "--rhs", "eta", "--tau", "1e306,10"], "1e+306"),
+        # tau + 1 rounds to tau, so the T-law of E4 read residual 0 and PASS
+        (["--weight", "4", "--lhs", "E4", "--rhs", "E4", "--tau", "1e17,1"], "1e+17"),
+    ], ids=["eta-1e306", "E4-1e17"])
+    def test_unresolvable_phase_exits_3(self, capsys, argv, re_tau):
+        assert cli.main(["transform", "--gamma", "1,1,0,1"] + argv) == 3
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err.startswith(f"error: Re(tau) = {re_tau} is too large")
 
 
 class TestCliFlags:
