@@ -166,6 +166,25 @@ def cmd_transform(args) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
+# the flags whose value is a re,im pair, which may start with "-"
+PAIR_FLAGS = ("--tau", "--multiplier")
+
+
+def join_negative_pairs(argv: list[str]) -> list[str]:
+    """argv with each `--tau VALUE` and `--multiplier VALUE` whose VALUE starts
+    with one "-" joined into `--tau=VALUE`.  argparse reads a word that starts
+    with "-" and is not a plain negative number, such as "-0.5,1", as an
+    option, so `--tau -0.5,1` would otherwise stop with "expected one
+    argument"."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in PAIR_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmodver",
@@ -193,17 +212,22 @@ def make_parser() -> argparse.ArgumentParser:
                    help="override the per-check build order")
     p.add_argument("--tol", type=parse_tolerance, default=None)
     p.add_argument("--tau", type=parse_complex_pair, action="append",
-                   help="sample point re,im (repeatable)")
+                   help="sample point re,im (repeatable); a negative re may follow "
+                        "after a space, as in --tau -0.5,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("transform", help="test f(gamma tau) = mult (c tau+d)^w g(tau)")
     p.add_argument("--gamma", required=True, help="matrix entries a,b,c,d")
     p.add_argument("--weight", type=parse_fraction, default=Fraction(0))
-    p.add_argument("--multiplier", type=parse_complex_pair, default=1.0 + 0j)
+    p.add_argument("--multiplier", type=parse_complex_pair, default=1.0 + 0j,
+                   help="re,im (default 1,0); a negative re may follow after a space, "
+                        "as in --multiplier -1,0")
     p.add_argument("--lhs", required=True, help="series spec for f")
     p.add_argument("--rhs", required=True, help="series spec for g")
-    p.add_argument("--tau", type=parse_complex_pair, action="append", required=True)
+    p.add_argument("--tau", type=parse_complex_pair, action="append", required=True,
+                   help="sample point re,im (repeatable); a negative re may follow "
+                        "after a space, as in --tau -0.5,1")
     p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument("--order", type=parse_order,
                    default=Fraction(verify.DEFAULT_NUMERIC_ORDER))
@@ -214,7 +238,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(join_negative_pairs(sys.argv[1:] if argv is None else argv))
     status = None
     try:
         status = args.func(args)

@@ -22,8 +22,10 @@ are evaluation-only: they can be built, serialized, read, regridded
 (`truncate`, `rescale`, `shifted`) and evaluated, and every arithmetic or
 comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
 series directly and returns, bit for bit, what their `to_complex()` returns;
-it sums only the terms before `exp` underflows to zero, and refuses a tau
-whose phases exp(2 pi i Re(tau) e) would carry no correct bit.
+it sums only the terms before `exp` underflows to zero, stops once a bound
+on every later term is below a quarter ulp of each part of the running sum
+(so no later term can change a bit of it), and refuses a tau whose phases
+exp(2 pi i Re(tau) e) would carry no correct bit.
 
 The exact kernels compute on the stored integers and carry den, never
 converting a coefficient to float or Fraction, and read and write lattice
@@ -56,9 +58,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, islice
 from math import gcd, lcm
 from operator import add
 from typing import Iterator, NamedTuple, Union
@@ -78,6 +81,11 @@ _EXP_UNDERFLOW = -750.0
 # at |Im(w * e)| >= 2^52 adjacent floats are at least 1 apart, so the phase
 # of exp(w * e) carries no correct bit and evaluate refuses the tau
 _PHASE_LIMIT = 2.0 ** 52
+# evaluate sums this many terms before it first checks its quarter-ulp cut
+# (and doubles the terms summed while a part of the sum is still zero); a
+# series with at most this many kept terms before its last five is summed
+# whole, which keeps the check off eta at order 60 (at most 13 terms)
+_FIRST_CHECK = 8
 
 
 class SeriesError(Exception):
@@ -170,19 +178,22 @@ def _bits(vals) -> int:
     return max(map(abs, vals), default=0).bit_length()
 
 
-def _schoolbook(a, b, m: int) -> list:
-    """The first m coefficients of the product of the integer lists a and b,
-    summed over their nonzero pairs: the kernel for sparse operands."""
+def _schoolbook(a, b, m: int, start: int = 0) -> list:
+    """Coefficients start, ..., m-1 of the product of the integer lists a and
+    b, summed over their nonzero pairs: the kernel for sparse operands.  An
+    element of a below start skips, by bisection, the elements of b that
+    would land below start, so no pair below start is formed."""
     a = [(i, x) for i, x in enumerate(a) if x]
     b = [(i, y) for i, y in enumerate(b) if y]
+    idx = [i for i, _ in b] if start else None
     acc = [0] * m
     for ia, x in a:
         lim = m - ia
-        for ib, y in b:
+        for ib, y in (islice(b, bisect_left(idx, start - ia), None) if ia < start else b):
             if ib >= lim:
                 break
             acc[ia + ib] += x * y
-    return acc
+    return acc[start:] if start else acc
 
 
 def _bias(nb: int, n: int) -> int:
@@ -270,13 +281,13 @@ def _quotient(a, n, M: int, top: int) -> list:
     with n_1 .. n_{hi-lo-1}, or when it turns the product down but at least
     half of the block is zero (a sparse quotient such as theta), it adds the
     product, by Kronecker or schoolbook, to the right half and solves that
-    half the same way.  Schoolbook forms about nnz(block) * nnz(n) pairs,
-    about twice the cross pairs the recurrence reads per nonzero of the
-    block, hence the half.  Otherwise (a dense block against a sparse n, as
-    in the inverse of the Euler product, or blocks too wide in bits for
-    their length) the right half runs the recurrence term by term, summing
-    the terms from e[lo] on.  Ranges of at most `_BLOCK` coefficients run the
-    recurrence directly.
+    half the same way.  Schoolbook forms only the pairs that land in the
+    right half, from its start index; the half was chosen when it also
+    formed the pairs below mid, about twice as many.  Otherwise (a dense
+    block against a sparse n, as in the inverse of the Euler product, or
+    blocks too wide in bits for their length) the right half runs the
+    recurrence term by term, summing the terms from e[lo] on.  Ranges of at
+    most `_BLOCK` coefficients run the recurrence directly.
     """
     tail = [(k, x) for k, x in enumerate(n) if k and x]
     e = [-top * x for x in a] + [0] * (M - len(a))
@@ -288,14 +299,16 @@ def _quotient(a, n, M: int, top: int) -> list:
         mid = (lo + hi) // 2
         solve(lo, mid)
         left, right = e[lo:mid], n[1:hi - lo]
+        # term i of the block product lands at m = lo + 1 + i; those below mid are solved
+        skip = mid - lo - 1
         if _kronecker_pays(left, right):
-            c = _kronecker(left, right, hi - lo - 1)  # c[i]: the terms at m = lo + 1 + i
+            c = _kronecker(left, right, hi - lo - 1)[skip:]
         elif 2 * left.count(0) >= len(left):
-            c = _schoolbook(left, right, hi - lo - 1)
+            c = _schoolbook(left, right, hi - lo - 1, skip)
         else:
             _recur(e, tail, n[0], lo, mid, hi)
             return
-        e[mid:hi] = map(add, e[mid:hi], c[mid - lo - 1:])
+        e[mid:hi] = map(add, e[mid:hi], c)
         solve(mid, hi)
 
     solve(0, M)
@@ -311,6 +324,37 @@ def _spread(values: dict, domain: str) -> tuple[int, list]:
     for i, v in values.items():
         vals[i // g] = v
     return g, vals
+
+
+def _negligible(exps, sup, re_w: float, i: int, quarter: float) -> bool:
+    """Whether 2 sup[i] |q|^exps[i], |q|^e = exp(re_w * e), is below quarter, a
+    quarter ulp of each part of a running sum s: then no term from i on can
+    change a bit of s.  Each later term c q^e has real and imaginary parts of
+    at most |c| |q|^e <= sup[i] |q|^exps[i] (|q| < 1 and e >= exps[i]), up to
+    a few ulps of rounding in exp and the product, which the 2 covers.  A
+    part below a quarter ulp is under half the float spacing on either side
+    of s, even where s is a power of two and the spacing below it is half an
+    ulp, so s + t rounds to s (round to nearest; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 2), term after term.  A negative
+    exponent is never negligible, so math.exp cannot overflow here."""
+    e = exps[i]
+    return e >= 0 and 2 * sup[i] * math.exp(re_w * e) < quarter
+
+
+def _first_negligible(exps, sup, re_w: float, quarter: float, lo: int, hi: int) -> int:
+    """The first index in [lo, hi) where `_negligible` holds, hi when none:
+    lo is tested first, then the rest is bisected, since the bound falls as
+    the index grows (sup falls and so does |q|^e)."""
+    if _negligible(exps, sup, re_w, lo, quarter):
+        return lo
+    lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _negligible(exps, sup, re_w, mid, quarter):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class PuiseuxSeries(FrozenRecord):
@@ -513,17 +557,20 @@ class PuiseuxSeries(FrozenRecord):
             return _zero_of(self.domain)
         return _ratio(self.vals[j], self.den)
 
-    def _float_view(self) -> tuple[tuple, tuple]:
-        """(exps, cs), computed once per series on its first evaluation:
+    def _float_view(self) -> tuple[tuple, tuple, tuple]:
+        """(exps, cs, sup), computed once per series on its first evaluation:
         exps[t] and cs[t] are the float exponent (offset + i)/D and complex(c)
-        of the t-th nonzero slot i, in increasing order."""
+        of the t-th nonzero slot i, in increasing order, and sup[t] is the
+        largest |cs[u]| over u >= t."""
         try:
             return self._float_cache
         except AttributeError:
             pass
         off, g, D = self.offset, self.g, self.ramification
         nz = [(j, c) for j, c in enumerate(self._read_vals()) if c]
-        view = (tuple([(off + j * g) / D for j, _ in nz]), tuple([complex(c) for _, c in nz]))
+        cs = [complex(c) for _, c in nz]
+        sup = tuple(accumulate(map(abs, reversed(cs)), max))[::-1]
+        view = (tuple([(off + j * g) / D for j, _ in nz]), tuple(cs), sup)
         object.__setattr__(self, "_float_cache", view)
         return view
 
@@ -801,10 +848,26 @@ class PuiseuxSeries(FrozenRecord):
         that the tail and the reliability flag read.  Before any exp, it raises
         `EvaluationError` when |Im(w) * e| reaches `_PHASE_LIMIT` at a kept
         exponent: that phase would carry no correct bit (and at such a tau,
-        tau + 1 may round to tau).  Otherwise results are
-        bit-identical to summing c * exp(2 pi i tau * float(e)) over every
-        term with Fraction exponents; keep the per-term exp (Horner's rule or
-        powers of q would round differently).
+        tau + 1 may round to tau).
+
+        Among the kept terms, the sum also stops at the first checked index i
+        where 2 * sup[i] * |q|^e_i (sup[i] the largest |c| from i on, read
+        from the float view) is below a quarter ulp of each part of the
+        running sum s: no later term can then change a bit of s
+        (`_negligible`).  A part that is zero, subnormal or not finite has a
+        quarter ulp of 0.0 and never cuts; so a real series at a purely
+        imaginary tau sums every kept term.  The first check comes after
+        `_FIRST_CHECK` terms (the prefix doubles while a part is still zero);
+        each further check bisects on the bound, which falls with i, for the
+        first index below the current quarter ulp, sums up to it and checks
+        there again, since a sum that cancels has a smaller ulp.  Only indices
+        before the last five kept terms are checked, because the tail and the
+        reliability flag read those five: when the cut fires they are
+        computed apart, with the same expression, and not added.
+
+        So results are bit-identical to summing c * exp(2 pi i tau *
+        float(e)) over every term with Fraction exponents; keep the per-term
+        exp (Horner's rule or powers of q would round differently).
         """
         tau = complex(tau)
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
@@ -815,7 +878,7 @@ class PuiseuxSeries(FrozenRecord):
         if rho >= 0.9:
             raise InsufficientConvergence(
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
-        exps, cs = self._float_view()
+        exps, cs, sup = self._float_view()
         w = 2j * math.pi * tau
         n = cut = len(exps)
         if exps and cmath.isfinite(w * exps[-1]):
@@ -827,8 +890,29 @@ class PuiseuxSeries(FrozenRecord):
                 f"Re(tau) = {tau.real} is too large: the phases of the terms at "
                 f"tau = {tau} carry no correct bit")
         exp = cmath.exp
-        terms = [c * exp(w * e) for e, c in zip(exps[:cut], cs[:cut])]
+        top = cut - 5  # the tail reads the last five terms of [0, cut) whatever the cut
+        i = _FIRST_CHECK if _FIRST_CHECK < top else cut
+        terms = [c * exp(w * e) for e, c in zip(exps[:i], cs[:i])]
         value = reduce(add, terms, 0j)
+        while i < cut:
+            # a quarter ulp of the smaller part: 0.0 for a zero, subnormal or
+            # non-finite part, which never cuts
+            quarter = (min(math.ulp(value.real), math.ulp(value.imag)) / 4
+                       if cmath.isfinite(value) else 0.0)
+            if quarter:
+                j = _first_negligible(exps, sup, w.real, quarter, i, top)
+                if j == i:
+                    break
+            else:
+                j = 2 * i
+            if j >= top:
+                j = cut
+            new = [c * exp(w * e) for e, c in zip(exps[i:j], cs[i:j])]
+            terms += new
+            value = reduce(add, new, value)
+            i = j
+        if i < cut:  # cut before the last five, which are computed apart for the tail
+            terms = [c * exp(w * e) for e, c in zip(exps[top:cut], cs[top:cut])]
         recent = ([abs(t) for t in terms[-5:]] + [0.0] * min(n - cut, 5))[-5:]
         tail = (recent[-1] if recent else 0.0) * rho / (1.0 - rho)
         reliable = all(x >= y for x, y in zip(recent, recent[1:]))

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import functools
 import json
 import math
 import pickle
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmodver import cli, lattice, specfun
+from qmodver import cli, lattice, series, specfun
 from qmodver.modgroup import SectorPair
 from qmodver.series import (COMPLEX, EXACT, BeyondTruncationError,
                             DomainPromotionRequired, EvalResult, EvaluationError,
@@ -654,10 +655,122 @@ def test_evaluate_stops_where_exp_underflows():
     tau = 3j
     assert len(q2.vals) == 800
     assert exp_calls(lambda: q2.evaluate(tau)) < 100
-    # its image tau/(2 tau + 1) under (1,0,2,1) has Im 3/37: no term underflows
-    assert exp_calls(lambda: q2.evaluate(tau / (2 * tau + 1))) == 800
+    # its image tau/(2 tau + 1) under (1,0,2,1) has Im 3/37: no term
+    # underflows, and the quarter-ulp cut stops after 181 of the 800 terms
+    # (plus the last five, for the tail)
+    assert exp_calls(lambda: q2.evaluate(tau / (2 * tau + 1))) == 186
     short = cut_inside_last_five()
     assert exp_calls(lambda: short.evaluate(750j / (2 * math.pi * 7.5))) == 8
+
+
+# -- the quarter-ulp cut: no later term can change a bit of the sum -----------
+
+def kept_terms(s, tau):
+    """The number of terms before the underflow cut: what evaluate summed
+    before the quarter-ulp cut."""
+    w = 2j * math.pi * complex(tau)
+    return sum(1 for e, _ in s.terms() if w.real * float(e) >= series._EXP_UNDERFLOW)
+
+
+@functools.cache
+def cut_series(name):
+    if name.startswith("Q2"):
+        return specfun.q_twisted(2, specfun.TwistParams(*map(int, name[3:].split(","))), 400)
+    return lattice.character(SectorPair(2, *map(int, name[5:].split(","))), 60).series
+
+
+IMAGES = {"S": lambda t: -1 / t, "(1,0,2,1)": lambda t: t / (2 * t + 1),
+          "(1,0,3,1)": lambda t: t / (3 * t + 1)}
+
+
+@pytest.mark.parametrize("name, image", [
+    (q2, image) for q2 in ("Q2:1,2,0,1", "Q2:0,1,1,3") for image in IMAGES
+] + [(char, "S") for char in ("char:0,1", "char:1,1", "char:1,0")])
+@pytest.mark.parametrize("tau", [0.3 + 1.2j, -0.7 + 1j, 0.2 + 2.5j])
+def test_evaluate_matches_the_reference_where_the_quarter_ulp_cut_fires(name, image, tau):
+    # the numeric laws' order-400 Q2 and order-60 characters at images with
+    # Im 0.04 to 0.8, where no term underflows and most are below a quarter ulp
+    s, t = cut_series(name), IMAGES[image](tau)
+    got = outcome(s.evaluate, t)
+    assert got == outcome(reference_evaluate, s, t)
+    assert got == outcome(s.to_complex().evaluate, t)
+    assert exp_calls(lambda: s.evaluate(t)) < kept_terms(s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Q2:1,2,0,1", "Q2:0,1,1,3", "char:0,1", "char:1,1"]),
+       st.sampled_from(list(IMAGES)), st.builds(complex, st.floats(-1, 1), st.floats(1, 3)))
+def test_evaluate_is_bit_identical_past_the_quarter_ulp_cut(name, image, tau):
+    s, t = cut_series(name), IMAGES[image](tau)
+    assert outcome(s.evaluate, t) == outcome(reference_evaluate, s, t)
+
+
+def fourteen_terms(c8, c9=1e-30):
+    """1 + i at q^0, then coefficients c8 at q^8 and c9 at q^9 among tiny
+    ones at q^1 .. q^13: at tau = i, |q|^e = exp(-2 pi e) and every term is
+    real times its coefficient, so the running sum is exactly 1 + i until q^8.
+    evaluate sums the first eight terms before its first check, at q^8."""
+    cs = [1 + 1j] + [1e-30] * 7 + [c8, c9] + [1e-30] * 4
+    return PuiseuxSeries.from_terms([(F(e), c) for e, c in enumerate(cs)], 14, COMPLEX)
+
+
+QUARTER_ULP_OF_ONE = 2.0 ** -54
+
+
+# size: the term t at q^8, in quarter ulps of 1.0 (2^-54, half the float
+# spacing below 1.0); the bound at q^8 is 2 |t|
+@pytest.mark.parametrize("size, calls", [
+    # the bound is 0.8 quarter ulps: the cut fires at q^8, and the last five
+    # terms are still computed for the tail
+    (0.4, 13),
+    # t cannot move 1.0, but the bound is 1.5 quarter ulps: every term is summed
+    (0.75, 14),
+    # t moves 1.0 down to 1 - 2^-53: every term is summed
+    (1.5, 14),
+])
+def test_the_cut_at_a_power_of_two_reads_a_quarter_ulp(size, calls):
+    s = fourteen_terms(-size * QUARTER_ULP_OF_ONE / math.exp(-16 * math.pi))
+    got = outcome(s.evaluate, 1j)
+    assert got == outcome(reference_evaluate, s, 1j)
+    assert exp_calls(lambda: s.evaluate(1j)) == calls
+    assert (s.evaluate(1j).value.real == 1.0) == (size < 1)
+
+
+def test_the_cut_reads_the_largest_later_coefficient():
+    # a small coefficient at q^8 before one at q^9 large enough to move the
+    # sum: the bound at q^8 must read |c9|, not |c8|
+    r8, r9 = math.exp(-16 * math.pi), math.exp(-18 * math.pi)
+    s = fourteen_terms(0.4 * QUARTER_ULP_OF_ONE / r8, -1.5 * QUARTER_ULP_OF_ONE / r9)
+    assert s.evaluate(1j).value.real == 1.0 - 2.0 ** -53
+    assert outcome(s.evaluate, 1j) == outcome(reference_evaluate, s, 1j)
+    assert exp_calls(lambda: s.evaluate(1j)) == 14
+
+
+def test_the_cut_is_checked_again_after_the_sum_cancels():
+    # at the first check (q^8) the sum is 1 + i, and q^9 .. q^20 look
+    # negligible; the term at q^8 then cancels the sum down to about
+    # 2^-30 (1 + i), whose quarter ulp is 2^-84, so the check at q^9 fails
+    # and the term there, about 2.8e-25, is kept
+    r8 = math.exp(-16 * math.pi)
+    cs = ([1 + 1j] + [1e-40] * 7 + [-(1 + 1j) * (1 - 2.0 ** -30) / r8]
+          + [1 + 1j] * 12)
+    s = PuiseuxSeries.from_terms([(F(e), c) for e, c in enumerate(cs)], 21, COMPLEX)
+    got = s.evaluate(1j)
+    assert abs(got.value) < 2.0 ** -29
+    assert outcome(s.evaluate, 1j) == outcome(reference_evaluate, s, 1j)
+    # the first ten terms, then the last five for the tail
+    assert exp_calls(lambda: s.evaluate(1j)) == 15
+
+
+@pytest.mark.parametrize("tau", [0.3j, 1j, 2j])
+def test_a_real_series_at_an_imaginary_tau_never_cuts(tau):
+    # every term is real, so the imaginary part of the sum stays 0.0, whose
+    # quarter ulp is 0.0: no bound is below it, and every kept term is summed
+    s = specfun.eisenstein(4, 60)
+    got = s.evaluate(tau)
+    assert got.value.imag == 0.0
+    assert outcome(s.evaluate, tau) == outcome(reference_evaluate, s, tau)
+    assert exp_calls(lambda: s.evaluate(tau)) == kept_terms(s, tau)
 
 
 @pytest.mark.parametrize("tau", [complex("nan"), complex(0, float("nan")),

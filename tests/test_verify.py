@@ -379,6 +379,38 @@ class TestCli:
 
 
 class TestCliFlags:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "closure", "--tau", "-0.5,1"],
+        ["check", "--suite", "closure", "--tau", "0.2,2", "--tau", "-.25,1.5"],
+        ["transform", "--gamma", "1,0,2,1", "--weight", "2", "--lhs", "Q2:1,2,0,1",
+         "--rhs", "Q2:1,2,0,1", "--order", "400", "--tau", "-0.3,1.2"],
+        # eta(tau + 12) = e^(i pi) eta(tau): a multiplier with a negative real part
+        ["transform", "--gamma", "1,12,0,1", "--lhs", "eta", "--rhs", "eta",
+         "--multiplier", "-1,0", "--tau", "-0.5,1"],
+    ], ids=["check", "check-two-taus", "transform-tau", "transform-multiplier"])
+    def test_a_negative_pair_may_follow_its_flag_after_a_space(self, capsys, argv):
+        assert cli.main(argv) == 0
+        spaced = capsys.readouterr()
+        # the form that always worked: --tau=-0.5,1
+        joined = " ".join(argv).replace("--tau ", "--tau=")
+        joined = joined.replace("--multiplier ", "--multiplier=")
+        assert cli.main(joined.split()) == 0
+        assert capsys.readouterr() == spaced
+        assert "FAIL" not in spaced.out and spaced.err == ""
+
+    def test_the_spaced_multiplier_is_the_one_read(self, capsys):
+        argv = ["transform", "--gamma", "1,12,0,1", "--lhs", "eta", "--rhs", "eta", "--tau", "0,1"]
+        assert cli.main(argv + ["--multiplier", "-1,0"]) == 0
+        assert cli.main(argv + ["--multiplier", "1,0"]) == 1
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "expected re,im"), ("-inf,1", "re,im must be finite"), ("-0.5", "expected re,im")])
+    def test_a_bad_negative_pair_is_still_a_usage_error(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--suite", "closure", "--tau", value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     @pytest.mark.parametrize("argv", [
         ["check", "--suite", "closure"],
