@@ -13,7 +13,9 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
+import time
 from fractions import Fraction
 
 from . import lattice, specfun, verify
@@ -142,8 +144,13 @@ def cmd_char(args) -> int:
 
 
 def cmd_check(args) -> int:
+    start = time.perf_counter()
     points = tuple(args.tau) if args.tau else None
     suites = verify.suites_of(args.suite)
+    if args.order is not None and args.order < 0:
+        raise ValueError(f"check needs --order >= 0, got {args.order}: below order 0 no "
+                         "series keeps a term, and at 0 each check reports that its "
+                         "order is insufficient")
     for flag, value in (("tau", args.tau), ("tol", args.tol)):
         if value is not None and not any(flag in verify.SUITE_FLAGS[s] for s in suites):
             print(f"note: --{flag} is ignored by suite {args.suite}", file=sys.stderr)
@@ -151,6 +158,16 @@ def cmd_check(args) -> int:
         args.suite, exact_order=args.order, numeric_order=args.order,
         tol=args.tol, sample_points=points)
     print_reports(reports, args.format)
+    sys.stdout.flush()  # what follows comes after the reports that reached the reader
+    if args.order == 0:
+        print("note: at --order 0 no series keeps a term: each exact check reports "
+              "insufficient order, and each numeric law fails on a vanishing side or "
+              "aborts where it divides by one", file=sys.stderr)
+    counts = {verdict: 0 for verdict in ("pass", "xfail", "fail", "abort")}
+    for rep in reports:
+        counts[rep.verdict()] += 1
+    print(", ".join(f"{n} {verdict}" for verdict, n in counts.items())
+          + f" in {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return status
 
 
@@ -166,79 +183,86 @@ def cmd_transform(args) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-# the flags whose value is a re,im pair, which may start with "-"
-PAIR_FLAGS = ("--tau", "--multiplier")
+# a value that reads as a negative number: "-" and then a digit, ".", inf or
+# nan.  No option starts that way.
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
 
-def join_negative_pairs(argv: list[str]) -> list[str]:
-    """argv with each `--tau VALUE` and `--multiplier VALUE` whose VALUE starts
-    with one "-" joined into `--tau=VALUE`.  argparse reads a word that starts
-    with "-" and is not a plain negative number, such as "-0.5,1", as an
-    option, so `--tau -0.5,1` would otherwise stop with "expected one
+def join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag VALUE` whose VALUE reads as a negative number
+    joined into `--flag=VALUE`.  argparse reads a word that starts with "-"
+    and is not a plain negative number, such as "-0.5,1" or "-1,0,0,-1", as
+    an option, so `--tau -0.5,1` would otherwise stop with "expected one
     argument"."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in PAIR_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(arg)):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
+# the epilog of every command's --help
+FLAG_NOTE = ("Flags are spelled in full: a prefix such as --mult for --multiplier is "
+             "refused.  A value may start with \"-\" after a space, as in --tau -0.5,1 "
+             "or --gamma -1,0,0,-1.")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmodver",
-        description="Exact q-series expansion and modular identity verification")
+        description="Exact q-series expansion and modular identity verification",
+        epilog=FLAG_NOTE, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="print the q-expansion of a named series")
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text, epilog=FLAG_NOTE, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("expand", "print the q-expansion of a named series", cmd_expand)
     p.add_argument("--series", required=True,
                    help="eta | theta1..theta4 | E<k> | Q<k>")
     p.add_argument("--twist", help="j,T,l,T1 for Q<k>")
     p.add_argument("--order", type=parse_order, default=Fraction(20),
                    help=f"truncation order NUM[/DEN], at most {MAX_ORDER}")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("char", help="supertrace character of a Z_2 sector pair")
+    p = command("char", "supertrace character of a Z_2 sector pair", cmd_char)
     p.add_argument("--pair", required=True, help="sector exponents i,j")
     p.add_argument("--order", type=parse_order, default=Fraction(20))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_char)
 
-    p = sub.add_parser("check", help="run a verification suite")
+    p = command("check", "run a verification suite", cmd_check)
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
     p.add_argument("--order", type=parse_order, default=None,
-                   help="override the per-check build order")
+                   help="override the per-check build order (at least 0)")
     p.add_argument("--tol", type=parse_tolerance, default=None)
     p.add_argument("--tau", type=parse_complex_pair, action="append",
-                   help="sample point re,im (repeatable); a negative re may follow "
-                        "after a space, as in --tau -0.5,1")
+                   help="sample point re,im (repeatable)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("transform", help="test f(gamma tau) = mult (c tau+d)^w g(tau)")
+    p = command("transform", "test f(gamma tau) = mult (c tau+d)^w g(tau)", cmd_transform)
     p.add_argument("--gamma", required=True, help="matrix entries a,b,c,d")
     p.add_argument("--weight", type=parse_fraction, default=Fraction(0))
     p.add_argument("--multiplier", type=parse_complex_pair, default=1.0 + 0j,
-                   help="re,im (default 1,0); a negative re may follow after a space, "
-                        "as in --multiplier -1,0")
+                   help="re,im (default 1,0)")
     p.add_argument("--lhs", required=True, help="series spec for f")
     p.add_argument("--rhs", required=True, help="series spec for g")
     p.add_argument("--tau", type=parse_complex_pair, action="append", required=True,
-                   help="sample point re,im (repeatable); a negative re may follow "
-                        "after a space, as in --tau -0.5,1")
+                   help="sample point re,im (repeatable)")
     p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument("--order", type=parse_order,
                    default=Fraction(verify.DEFAULT_NUMERIC_ORDER))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_transform)
     return parser
 
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(join_negative_pairs(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(join_negative_values(sys.argv[1:] if argv is None else argv))
     status = None
     try:
         status = args.func(args)

@@ -83,9 +83,11 @@ def act_on_pair(p: SectorPair, m: ModularMatrix) -> SectorPair:
 
 
 def slash_factor(k, m: ModularMatrix, tau: complex) -> complex:
-    """(c tau + d)^{-k}, principal branch for non-integer weight k."""
+    """(c tau + d)^{-k}, principal branch for non-integer weight k; k is read
+    as a Fraction unless it is an int or a Fraction already."""
     tau = require_upper_half(tau)
-    k = Fraction(k)
-    if k == 0:
+    if not isinstance(k, (int, Fraction)):
+        k = Fraction(k)
+    if not k:
         return 1.0 + 0j
     return cmath.exp(-float(k) * cmath.log(m.c * tau + m.d))

@@ -60,7 +60,6 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, islice
 from math import gcd, lcm
 from operator import add
@@ -326,37 +325,6 @@ def _spread(values: dict, domain: str) -> tuple[int, list]:
     return g, vals
 
 
-def _negligible(exps, sup, re_w: float, i: int, quarter: float) -> bool:
-    """Whether 2 sup[i] |q|^exps[i], |q|^e = exp(re_w * e), is below quarter, a
-    quarter ulp of each part of a running sum s: then no term from i on can
-    change a bit of s.  Each later term c q^e has real and imaginary parts of
-    at most |c| |q|^e <= sup[i] |q|^exps[i] (|q| < 1 and e >= exps[i]), up to
-    a few ulps of rounding in exp and the product, which the 2 covers.  A
-    part below a quarter ulp is under half the float spacing on either side
-    of s, even where s is a power of two and the spacing below it is half an
-    ulp, so s + t rounds to s (round to nearest; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 2), term after term.  A negative
-    exponent is never negligible, so math.exp cannot overflow here."""
-    e = exps[i]
-    return e >= 0 and 2 * sup[i] * math.exp(re_w * e) < quarter
-
-
-def _first_negligible(exps, sup, re_w: float, quarter: float, lo: int, hi: int) -> int:
-    """The first index in [lo, hi) where `_negligible` holds, hi when none:
-    lo is tested first, then the rest is bisected, since the bound falls as
-    the index grows (sup falls and so does |q|^e)."""
-    if _negligible(exps, sup, re_w, lo, quarter):
-        return lo
-    lo += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _negligible(exps, sup, re_w, mid, quarter):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 class PuiseuxSeries(FrozenRecord):
     """The coefficient of q^((offset + i)/ramification), for every slot i below
     order, is vals[i // g] / den when g divides i and the domain's zero
@@ -557,20 +525,17 @@ class PuiseuxSeries(FrozenRecord):
             return _zero_of(self.domain)
         return _ratio(self.vals[j], self.den)
 
-    def _float_view(self) -> tuple[tuple, tuple, tuple]:
-        """(exps, cs, sup), computed once per series on its first evaluation:
-        exps[t] and cs[t] are the float exponent (offset + i)/D and complex(c)
-        of the t-th nonzero slot i, in increasing order, and sup[t] is the
-        largest |cs[u]| over u >= t."""
-        try:
-            return self._float_cache
-        except AttributeError:
-            pass
+    def _float_view(self) -> tuple[tuple, tuple, tuple, float]:
+        """(exps, cs, sup, step), built and cached as `_float_cache` by the
+        first evaluation at a converging tau: exps[t] and cs[t] are the float
+        exponent (offset + i)/D and complex(c) of the t-th nonzero slot i, in
+        increasing order, sup[t] is the largest |cs[u]| over u >= t, and step
+        is the support step g/D."""
         off, g, D = self.offset, self.g, self.ramification
         nz = [(j, c) for j, c in enumerate(self._read_vals()) if c]
         cs = [complex(c) for _, c in nz]
         sup = tuple(accumulate(map(abs, reversed(cs)), max))[::-1]
-        view = (tuple([(off + j * g) / D for j, _ in nz]), tuple(cs), sup)
+        view = (tuple([(off + j * g) / D for j, _ in nz]), tuple(cs), sup, g / D)
         object.__setattr__(self, "_float_cache", view)
         return view
 
@@ -834,89 +799,128 @@ class PuiseuxSeries(FrozenRecord):
         The convergence ratio rho uses the effective spacing of the nonzero
         support (e.g. 1 for eta, whose exponents are 1/24 + integers), not the
         raw 1/D grid, so sparse theta-type series evaluate wherever they
-        actually converge.
+        actually converge.  A zero series has value 0j, tail 0.0 and a
+        reliable flag once tau passes these checks.
 
         The value is the sum, in increasing exponent order from 0j, of
         complex(c) * exp(w * e) with w = 2 pi i tau and e the correctly rounded
         float exponent of each nonzero term, read from the cached float view,
         so an exact series evaluates bit for bit as its to_complex() does.  The
         sum stops before the first exponent with Re(w * e) < _EXP_UNDERFLOW,
-        found by bisection, when w * e is finite at the last exponent: past it
-        every exp(w * e) is (+-0, +-0) and every term a signed zero, and a sum
-        that starts at +0j never becomes -0.0, so adding them changes no bit
-        and raises nothing.  A skipped term counts as 0.0 among the last five
-        that the tail and the reliability flag read.  Before any exp, it raises
-        `EvaluationError` when |Im(w) * e| reaches `_PHASE_LIMIT` at a kept
-        exponent: that phase would carry no correct bit (and at such a tau,
-        tau + 1 may round to tau).
+        found by bisection when the last exponent is past it and w * e is
+        finite there: past it every exp(w * e) is (+-0, +-0) and every term a
+        signed zero, and a sum that starts at +0j never becomes -0.0, so
+        adding them changes no bit and raises nothing.  A skipped term counts
+        as 0.0 among the last five that the tail and the reliability flag
+        read.  Before any exp, it raises `EvaluationError` when |Im(w) * e|
+        reaches `_PHASE_LIMIT` at a kept exponent: that phase would carry no
+        correct bit (and at such a tau, tau + 1 may round to tau).
 
         Among the kept terms, the sum also stops at the first checked index i
         where 2 * sup[i] * |q|^e_i (sup[i] the largest |c| from i on, read
-        from the float view) is below a quarter ulp of each part of the
-        running sum s: no later term can then change a bit of s
-        (`_negligible`).  A part that is zero, subnormal or not finite has a
-        quarter ulp of 0.0 and never cuts; so a real series at a purely
+        from the float view, and e_i >= 0) is below a quarter ulp of each part
+        of the running sum s: no later term can then change a bit of s.  Each
+        later term c q^e has real and imaginary parts of at most |c| |q|^e <=
+        sup[i] |q|^e_i (|q| < 1 and e >= e_i), up to a few ulps of rounding in
+        exp and the product, which the 2 covers.  A part below a quarter ulp is
+        under half the float spacing on either side of s, even where s is a
+        power of two and the spacing below it is half an ulp, so s + t rounds
+        to s (round to nearest; Higham, *Accuracy and Stability of Numerical
+        Algorithms*, ch. 2), term after term.  A negative e_i never cuts, so
+        |q|^e_i cannot overflow.  A part that is zero, subnormal or not finite
+        has a quarter ulp of 0.0 and never cuts; so a real series at a purely
         imaginary tau sums every kept term.  The first check comes after
         `_FIRST_CHECK` terms (the prefix doubles while a part is still zero);
-        each further check bisects on the bound, which falls with i, for the
-        first index below the current quarter ulp, sums up to it and checks
-        there again, since a sum that cancels has a smaller ulp.  Only indices
-        before the last five kept terms are checked, because the tail and the
-        reliability flag read those five: when the cut fires they are
-        computed apart, with the same expression, and not added.
+        each further check bisects on the bound, which falls as i grows (sup
+        falls and so does |q|^e), for the first index below the current
+        quarter ulp, sums up to it and checks there again, since a sum that
+        cancels has a smaller ulp.  Only indices before the last five kept
+        terms are checked, because the tail and the reliability flag read
+        those five: they are always computed apart, with the same expression,
+        and added only when the cut did not fire.
 
         So results are bit-identical to summing c * exp(2 pi i tau *
         float(e)) over every term with Fraction exponents; keep the per-term
         exp (Horner's rule or powers of q would round differently).
         """
         tau = complex(tau)
-        if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        if not cmath.isfinite(tau):
             raise NotInUpperHalfPlane(f"tau = {tau} is not finite")
         if tau.imag <= 0:
             raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} is not positive")
-        rho = math.exp(-2 * math.pi * tau.imag * (self.g / self.ramification))
+        try:
+            exps, cs, sup, step = self._float_cache
+        except AttributeError:  # built below, after the convergence check
+            exps, step = None, self.g / self.ramification
+        rho = math.exp(-2 * math.pi * tau.imag * step)
         if rho >= 0.9:
             raise InsufficientConvergence(
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
-        exps, cs, sup = self._float_view()
+        if not exps:
+            if exps is None:  # complex(c) may overflow, so only for a converging tau
+                exps, cs, sup, step = self._float_view()
+            if not exps:
+                return EvalResult(0j, 0.0, True)
         w = 2j * math.pi * tau
+        re_w = w.real
+        last = _EXP_UNDERFLOW / re_w  # exp(w * e) underflows past this exponent
         n = cut = len(exps)
-        if exps and cmath.isfinite(w * exps[-1]):
+        if exps[-1] > last and cmath.isfinite(w * exps[-1]):
             # Re(w) = -2 pi Im(tau) < 0, and |w * e| grows with e > 0, so
             # every skipped w * e is finite too
-            cut = bisect_right(exps, _EXP_UNDERFLOW / w.real)
+            cut = bisect_right(exps, last)
         if cut and abs(w.imag) * max(-exps[0], exps[cut - 1]) >= _PHASE_LIMIT:
             raise EvaluationError(
                 f"Re(tau) = {tau.real} is too large: the phases of the terms at "
                 f"tau = {tau} carry no correct bit")
         exp = cmath.exp
-        top = cut - 5  # the tail reads the last five terms of [0, cut) whatever the cut
-        i = _FIRST_CHECK if _FIRST_CHECK < top else cut
-        terms = [c * exp(w * e) for e, c in zip(exps[:i], cs[:i])]
-        value = reduce(add, terms, 0j)
-        while i < cut:
+        top = max(cut - 5, 0)  # [top, cut) are the last five kept terms, for the tail
+        value = 0j
+        i, j = 0, (_FIRST_CHECK if _FIRST_CHECK < top else top)
+        while True:
+            for e, c in zip(exps[i:j], cs[i:j]):
+                value += c * exp(w * e)
+            i = j
+            if i == top:
+                break
             # a quarter ulp of the smaller part: 0.0 for a zero, subnormal or
             # non-finite part, which never cuts
             quarter = (min(math.ulp(value.real), math.ulp(value.imag)) / 4
                        if cmath.isfinite(value) else 0.0)
-            if quarter:
-                j = _first_negligible(exps, sup, w.real, quarter, i, top)
-                if j == i:
-                    break
-            else:
-                j = 2 * i
-            if j >= top:
-                j = cut
-            new = [c * exp(w * e) for e, c in zip(exps[i:j], cs[i:j])]
-            terms += new
-            value = reduce(add, new, value)
-            i = j
-        if i < cut:  # cut before the last five, which are computed apart for the tail
-            terms = [c * exp(w * e) for e, c in zip(exps[top:cut], cs[top:cut])]
-        recent = ([abs(t) for t in terms[-5:]] + [0.0] * min(n - cut, 5))[-5:]
-        tail = (recent[-1] if recent else 0.0) * rho / (1.0 - rho)
-        reliable = all(x >= y for x, y in zip(recent, recent[1:]))
-        return EvalResult(value, tail, reliable)
+            if not quarter:
+                j = min(2 * i, top)
+                continue
+            # the first index in [i, top) whose bound is below quarter, top if
+            # none: i first, then a bisection of the rest
+            e = exps[i]
+            if e >= 0 and 2 * sup[i] * math.exp(re_w * e) < quarter:
+                break
+            lo, hi = i + 1, top
+            while lo < hi:
+                mid = (lo + hi) // 2
+                e = exps[mid]
+                if e >= 0 and 2 * sup[mid] * math.exp(re_w * e) < quarter:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            j = lo
+        recent = []  # |t| for the last five kept terms t
+        if i == top:  # no cut: they are summed too
+            for e, c in zip(exps[top:cut], cs[top:cut]):
+                t = c * exp(w * e)
+                value += t
+                recent.append(abs(t))
+        else:
+            for e, c in zip(exps[top:cut], cs[top:cut]):
+                recent.append(abs(c * exp(w * e)))
+        if cut < n:
+            recent = (recent + [0.0] * min(n - cut, 5))[-5:]
+        reliable = True
+        for x, y in zip(recent, recent[1:]):
+            if not x >= y:  # False for a NaN, too
+                reliable = False
+                break
+        return EvalResult(value, recent[-1] * rho / (1.0 - rho), reliable)
 
     # -- serialization -----------------------------------------------------
 

@@ -55,19 +55,19 @@ class CheckReport(Record):
                              "den": self.order_used.denominator}
         return doc
 
-    def summary_line(self) -> str:
+    def verdict(self) -> str:
+        """"abort", "pass", "xfail" or "fail", in that precedence."""
         if self.aborted:
-            verdict = "ABORT"
-        elif self.passed:
-            verdict = "PASS"
-        elif self.expected_fail:
-            verdict = "XFAIL"
-        else:
-            verdict = "FAIL"
+            return "abort"
+        if self.passed:
+            return "pass"
+        return "xfail" if self.expected_fail else "fail"
+
+    def summary_line(self) -> str:
         extra = ""
         if self.kind == "numeric" and self.max_residual is not None:
             extra = f"  residual={self.max_residual:.3e} tail={self.tail_estimate:.3e}"
-        return f"{verdict:5s} [{self.kind}] {self.name}{extra}"
+        return f"{self.verdict().upper():5s} [{self.kind}] {self.name}{extra}"
 
 
 class TransformSpec(NamedTuple):
@@ -151,32 +151,40 @@ def _exact_rows(rows) -> list[CheckReport]:
 _LEAD_BOUND = 1
 
 
-def _numeric_law(name: str, sides: dict, points, tol: float, residual) -> CheckReport:
-    """The numeric pass rule over the sample points.
+def _numeric_law(name: str, sides: dict, details: list, tol: float) -> CheckReport:
+    """The numeric pass rule over the evaluated sample points.
 
-    `residual(tau)` returns (residual, tail estimate, extra detail fields) of a
-    law between the series `sides` (label -> series); the law passes when
-    every residual is below tol and every tail below tol/10.  A side with no
-    nonzero term below its order has value 0 and tail 0 at every tau, so such
-    a law fails instead, after the points are evaluated (a point where a side
-    does not converge still aborts the suite): as a degenerate law naming
-    the vanishing sides when each is zero below an order above _LEAD_BOUND,
-    else as insufficient order.
+    `details` holds one entry per point, with the residual and the tail
+    estimate of a law between the series `sides` (label -> series); the law
+    passes when every residual is below tol and every tail below tol/10.  A
+    side with no nonzero term below its order has value 0 and tail 0 at every
+    tau, so such a law fails instead, after the points are evaluated (a point
+    where a side does not converge still aborts the suite): as a degenerate
+    law naming the vanishing sides when each is zero below an order above
+    _LEAD_BOUND, else as insufficient order.
     """
-    order = min(s.order for s in sides.values())
-    details = []
-    for tau in points:
-        tau = complex(tau)
-        res, tail, extra = residual(tau)
-        details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail, **extra})
-    vanishing = [label for label, s in sides.items() if s.is_zero()]
+    order, vanishing = None, []
+    for label, s in sides.items():
+        # the least order, compared only between distinct Fractions
+        if order is None or (s.order is not order and s.order < order):
+            order = s.order
+        if s.is_zero():
+            vanishing.append(label)
     if vanishing and all(sides[label].order > _LEAD_BOUND for label in vanishing):
         return CheckReport(name, "numeric", False, order,
                            details=[{"error": "degenerate law", "vanishing": vanishing}])
     if vanishing:
         return _insufficient_order(name, order, "a nonzero term on each side", kind="numeric")
-    max_res = max(d["residual"] for d in details)
-    max_tail = max(d["tail"] for d in details)
+    max_res = max_tail = None
+    for d in details:
+        # the running maxima keep the first of equal values and a leading NaN,
+        # as max() does
+        if max_res is None or d["residual"] > max_res:
+            max_res = d["residual"]
+        if max_tail is None or d["tail"] > max_tail:
+            max_tail = d["tail"]
+    if max_res is None:
+        raise ValueError(f"numeric law {name} has no sample point")
     passed = max_res < tol and max_tail < tol / 10
     return CheckReport(name, "numeric", passed, order, max_res, max_tail, details)
 
@@ -184,15 +192,19 @@ def _numeric_law(name: str, sides: dict, points, tol: float, residual) -> CheckR
 def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
                             spec: TransformSpec) -> CheckReport:
     """Residuals of f(gamma tau) = multiplier * (c tau + d)^weight * g(tau)."""
-    def residual(tau):
-        lhs = f.evaluate(mobius(spec.gamma, tau))
+    gamma, multiplier = spec.gamma, spec.multiplier
+    k = -spec.weight  # the slash factor's weight
+    details = []
+    for tau in spec.sample_points:
+        tau = complex(tau)
+        lhs = f.evaluate(mobius(gamma, tau))
         rhs = g.evaluate(tau)
-        factor = spec.multiplier * slash_factor(-spec.weight, spec.gamma, tau)
-        return (abs(lhs.value - factor * rhs.value),
-                lhs.tail_estimate + abs(factor) * rhs.tail_estimate,
-                {"tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
-
-    return _numeric_law(name, {"lhs": f, "rhs": g}, spec.sample_points, spec.tolerance, residual)
+        factor = multiplier * slash_factor(k, gamma, tau)
+        details.append({"tau": [tau.real, tau.imag],
+                        "residual": abs(lhs.value - factor * rhs.value),
+                        "tail": lhs.tail_estimate + abs(factor) * rhs.tail_estimate,
+                        "tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
+    return _numeric_law(name, {"lhs": f, "rhs": g}, details, spec.tolerance)
 
 
 # rho(gamma) on the nonvanishing Z_2 characters: c_(i,j)(gamma tau) is the
@@ -298,17 +310,19 @@ def transforms_suite(numeric_order=None, tol=None, sample_points=None) -> list[C
     # branch carries the extra root of unity e^{i pi/24}.
     half = specfun.eta_half_period_series(order)
 
-    def half_residual(tau):
+    details = []
+    for tau in tuple(sample_points or (2j,)):
+        tau = complex(tau)
         lhs = half.evaluate(tau)
         e1 = eta.evaluate(tau)
         e2 = eta.evaluate(tau / 2)
         e3 = eta.evaluate(2 * tau)
         rhs = e1.value ** 3 / (e2.value * e3.value)
         tail = lhs.tail_estimate + e1.tail_estimate + e2.tail_estimate + e3.tail_estimate
-        return abs(lhs.value - rhs), tail, {}
-
-    rep = _numeric_law("eta-half-argument-law", {"lhs": half, "rhs": eta},
-                       tuple(sample_points or (2j,)), _given(tol, 1e-9), half_residual)
+        details.append({"tau": [tau.real, tau.imag], "residual": abs(lhs.value - rhs),
+                        "tail": tail})
+    rep = _numeric_law("eta-half-argument-law", {"lhs": half, "rhs": eta}, details,
+                       _given(tol, 1e-9))
     rep.details.append({"note": "left side is the q-expansion of "
                                 "e^{-i pi/24} eta((tau+1)/2); the pointwise "
                                 "principal branch carries that extra phase"})
@@ -362,18 +376,16 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
     # E2 quasi-modularity: (E2(-1/tau) - tau^2 E2(tau))/tau against its predicted value
     predicted = 1j / (2 * math.pi)
     e2 = specfun.eisenstein(2, order)
-    measured = []
-
-    def defect_residual(tau):
+    measured, details = [], []
+    for tau in (2j, 3j):
         lv = e2.evaluate(-1 / tau)
         rv = e2.evaluate(tau)
         const = (lv.value - tau ** 2 * rv.value) / tau
         measured.append([const.real, const.imag])
         tail = (lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau)
-        return abs(const - predicted), tail, {}
-
-    rep = _numeric_law("E2-S-defect-constancy", {"E2": e2}, (2j, 3j), tolerance,
-                       defect_residual)
+        details.append({"tau": [tau.real, tau.imag], "residual": abs(const - predicted),
+                        "tail": tail})
+    rep = _numeric_law("E2-S-defect-constancy", {"E2": e2}, details, tolerance)
     rep.details.append({"predicted_defect_over_tau": [predicted.real, predicted.imag],
                         "measured_defect_over_tau": measured,
                         "note": "E2 = -E2_classical/12 and E2_classical(-1/tau) = "

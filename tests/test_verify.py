@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import io
@@ -19,6 +20,21 @@ from qmodver.series import PuiseuxSeries
 from qmodver.verify import (SUITE_NAMES, CheckReport, DegenerateSectorError,
                             TransformSpec, WrongDomainError, check_series_equal,
                             check_transform_numeric, closure_scan, run_suite)
+
+
+# the run summary that `check` prints on stderr after its reports
+_SUMMARY = re.compile(r"(\d+) pass, (\d+) xfail, (\d+) fail, (\d+) abort in \d+\.\d{3} s")
+_ORDER_ZERO_NOTE = ("note: at --order 0 no series keeps a term: each exact check reports "
+                    "insufficient order, and each numeric law fails on a vanishing side "
+                    "or aborts where it divides by one\n")
+
+
+def before_summary(err: str) -> str:
+    """The stderr of a `check` run less its last line, the run summary, which
+    must be there."""
+    *notes, last = err.splitlines()
+    assert _SUMMARY.fullmatch(last), err
+    return "".join(f"{line}\n" for line in notes)
 
 
 class TestCheckSeriesEqual:
@@ -201,7 +217,7 @@ class TestRunSuite:
         default = {r.name for r in run_suite(suite)[0] if r.kind == "exact-series"}
         assert cli.main(["check", "--suite", suite, "--order", "0", "--format", "json"]) == 1
         out, err = capsys.readouterr()
-        assert err == ""
+        assert before_summary(err) == _ORDER_ZERO_NOTE
         docs = [json.loads(line) for line in out.splitlines()]
         exact = {d["name"]: d for d in docs if d["kind"] == "exact-series"}
         assert set(exact) == default
@@ -228,7 +244,7 @@ class TestRunSuite:
         # (exit 3); the exact suites still report every check
         assert cli.main(["check", "--suite", "all", "--order", "0"]) == 3
         out, err = capsys.readouterr()
-        assert err == ""
+        assert before_summary(err) == _ORDER_ZERO_NOTE
         lines = out.splitlines()
         assert "ABORT [numeric] transforms-suite" in lines
         assert "ABORT [numeric] closure-suite" in lines
@@ -395,8 +411,62 @@ class TestCliFlags:
         joined = " ".join(argv).replace("--tau ", "--tau=")
         joined = joined.replace("--multiplier ", "--multiplier=")
         assert cli.main(joined.split()) == 0
+        again = capsys.readouterr()
+        assert again.out == spaced.out
+        # check ends its stderr with a run summary, which reads the clock
+        errs = [before_summary(r.err) if argv[0] == "check" else r.err for r in (spaced, again)]
+        assert "FAIL" not in spaced.out and errs == ["", ""]
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # -T^-1 maps tau to tau - 1, under which eta's multiplier is not 1
+        (["transform", "--gamma", "-1,1,0,-1", "--lhs", "eta", "--rhs", "eta", "--tau", "0,1"],
+         1, ""),
+        # -T with eta's multiplier e^{i pi/12}: exit 0, as in CI
+        (["transform", "--gamma", "-1,-1,0,-1", "--lhs", "eta", "--rhs", "eta",
+          "--multiplier", "0.9659258262890683,0.25881904510252074", "--tau", "0.2,1.1",
+          "--tau", "-0.4,1.3"], 0, ""),
+        (["char", "--pair", "-1,0"], 2, "error: sector exponents must be reduced mod n\n"),
+        (["expand", "--series", "Q2", "--twist", "-1,2,0,1"], 2,
+         "error: twist exponents must satisfy 0 <= j < T, 0 <= l < T1\n"),
+        (["transform", "--gamma", "0,-1,1,0", "--weight", "-1/2", "--lhs", "eta",
+          "--rhs", "eta", "--tau", "-.5,1"], 1, ""),
+    ], ids=["gamma", "gamma-minus-T", "pair", "twist", "weight"])
+    def test_a_negative_value_may_follow_any_flag_after_a_space(self, capsys, argv, code,
+                                                                message):
+        assert cli.main(argv) == code
+        spaced = capsys.readouterr()
+        assert spaced.err == message and "expected one argument" not in spaced.err
+        # the same run as with --flag=VALUE
+        joined = [f"{a}={b}" if a.startswith("--") else None for a, b in zip(argv, argv[1:])]
+        eq = [argv[0]] + [j for j in joined if j is not None]
+        assert cli.main(eq) == code
         assert capsys.readouterr() == spaced
-        assert "FAIL" not in spaced.out and spaced.err == ""
+
+    @pytest.mark.parametrize("argv", [["--mult", "-1,0"], ["--mult", "1,0"], ["--mult=-1,0"],
+                                      ["--multi", "-0.5,1"], ["--t", "0,1"]])
+    def test_a_flag_prefix_is_refused_the_same_way_every_time(self, capsys, argv):
+        base = ["transform", "--gamma", "1,12,0,1", "--lhs", "eta", "--rhs", "eta"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + ["--tau", "0,1"] + argv)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --" in capsys.readouterr().err
+
+    def test_help_says_that_flags_are_spelled_in_full(self):
+        parser = cli.make_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for p in [parser, *commands.values()]:
+            assert not p.allow_abbrev
+            assert "spelled in full" in " ".join(p.format_help().split())
+
+    @pytest.mark.parametrize("order", ["-1", "-5/6", "-10001"])
+    def test_check_refuses_a_negative_order_with_its_meaning(self, capsys, order):
+        assert cli.main(["check", "--suite", "all", "--order", order]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: check needs --order >= 0, got {order}: below order 0 no "
+                       "series keeps a term, and at 0 each check reports that its order is "
+                       "insufficient\n")
 
     def test_the_spaced_multiplier_is_the_one_read(self, capsys):
         argv = ["transform", "--gamma", "1,12,0,1", "--lhs", "eta", "--rhs", "eta", "--tau", "0,1"]
@@ -441,9 +511,10 @@ class TestCliFlags:
         assert cli.main(["check", "--suite", "eisenstein", "--tau", "1e308,1"]) == 0
         out, err = capsys.readouterr()
         assert out == plain
-        assert err == "note: --tau is ignored by suite eisenstein\n"
+        assert before_summary(err) == "note: --tau is ignored by suite eisenstein\n"
         assert cli.main(["check", "--suite", "identities", "--tol", "1e-8"]) == 0
-        assert capsys.readouterr().err == "note: --tol is ignored by suite identities\n"
+        assert before_summary(capsys.readouterr().err) == (
+            "note: --tol is ignored by suite identities\n")
 
     @pytest.mark.parametrize("suite", ["closure", "transforms"])
     def test_tau_reaches_every_numeric_check(self, capsys, suite):
@@ -453,10 +524,35 @@ class TestCliFlags:
         for r in reports:
             assert [d["tau"] for d in r["details"] if "tau" in d] == [[0.0, 5.0]], r["name"]
 
+    @pytest.mark.parametrize("suite, fmt", [("all", "text"), ("all", "json"),
+                                            ("identities", "text"), ("transforms", "json")])
+    def test_check_ends_with_a_run_summary_on_stderr(self, capsys, suite, fmt):
+        reports, status = run_suite(suite)
+        assert cli.main(["check", "--suite", suite, "--format", fmt]) == status
+        out, err = capsys.readouterr()
+        # stdout is the reports alone, as before
+        assert out == "".join((json.dumps(r.to_json_dict()) if fmt == "json"
+                               else r.summary_line()) + "\n" for r in reports)
+        assert before_summary(err) == ""
+        counts = _SUMMARY.fullmatch(err.splitlines()[-1]).groups()
+        verdicts = [r.verdict() for r in reports]
+        assert [int(n) for n in counts] == [verdicts.count(v)
+                                            for v in ("pass", "xfail", "fail", "abort")]
+
+    def test_the_summary_counts_aborts_and_failures(self, capsys):
+        assert cli.main(["check", "--suite", "all", "--order", "0"]) == 3
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        n = {v: sum(line.startswith(v.upper()) for line in lines)
+             for v in ("pass", "xfail", "fail", "abort")}
+        assert n["abort"] == 2 and n["fail"] > 0
+        assert err.splitlines()[-1].startswith(
+            f"{n['pass']} pass, {n['xfail']} xfail, {n['fail']} fail, {n['abort']} abort in ")
+
     def test_read_flags_give_no_note(self, capsys):
         assert cli.main(["check", "--suite", "transforms", "--tol", "1e-8",
                          "--tau", "0,2"]) == 0
-        assert capsys.readouterr().err == ""
+        assert before_summary(capsys.readouterr().err) == ""
 
 
 def test_eisenstein_constant_terms_are_compared_with_literal_values(monkeypatch):
@@ -540,48 +636,81 @@ def _child_env():
 
 # -- the command grammar, fuzzed ----------------------------------------------
 
-_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "1/2", "7/3", "-5/6", "1e308",
-            "1e-300", "x", "", "1/0"]
-_PAIRS = ["0,1", "0,2", "1,2", "0.5,1.5", "0,-1", "1,0", "nan,1", "0,inf", "1e308,1",
-          "0,1e-300", "0,1e300", "1,", ",", "1,2,3", "0,1,1"]
-_MATRICES = ["1,0,0,1", "0,-1,1,0", "1,1,0,1", "1,0,2,1", "2,1,1,1", "1,2,3", "a,b,c,d"]
-_SERIES = ["eta", "theta1", "theta3", "theta5", "E2", "E4", "E3", "E0", "Q1", "Q0:0,1,0,1",
-           "Q2:1,2,0,1", "Q2:0,1,1,3", "Q2:0,1,0,1", "Q2:x", "char:0,1", "char:1,1",
-           "char:2,0", "char", "bogus", "E100000", "Q401:1,2,0,1", "Q1:1,1000000000,0,1"]
-_ORDERS = ["-1", "0", "1/3", "1/2", "1", "5/2", "8"]
-# above cli.MAX_ORDER only "10001" and "1e308", which must be rejected unbuilt
-_BAD_ORDERS = ["nan", "inf", "-inf", "x", "", "1/0", "1e-300", "-5/6", "10001", "1e308"]
+# values any flag may get, now and then: negative, zero, nan, inf, 1/0, huge,
+# off-grid fractions, malformed lists and junk
+_NUMBERS = ["nan", "inf", "-inf", "-nan", "-1", "0", "1", "2", "1/2", "7/3", "-5/6", "1/7",
+            "1e308", "-1e308", "1e-300", "10000000000000000000000", "x", "", "1/0", "-.5",
+            ",", "1,", "1,2,3", "-1,0", "-0.5,1", "-1,0,0,-1", "-.25,-1e-300", "0,1,1"]
+# mostly well-formed values of each kind, negative ones among them
+_PAIRS = ["0,1", "0,2", "1,2", "0.5,1.5", "-1,0", "-0.5,1", "-.25,1.5", "1,0", "0,-1",
+          "1e308,1", "0,1e-300", "0,1e300"]
+_SECTORS = ["0,1", "1,1", "1,0", "0,0", "-1,0", "2,0", "0,-1"]
+_MATRICES = ["1,0,0,1", "0,-1,1,0", "1,1,0,1", "1,0,2,1", "2,1,1,1", "-1,1,0,-1",
+             "-1,0,0,-1", "-1,-1,0,-1", "0,1,-1,0", "1,100000000000000000000,0,1"]
+_TWISTS = ["1,2,0,1", "0,1,1,3", "0,1,0,1", "-1,2,0,1", "1,-2,0,1", "1,2,0,-1", "0,0,0,1",
+           "1,1000000000,0,1"]
+_SERIES = ["eta", "theta1", "theta3", "theta5", "E2", "E4", "E3", "E0", "E-4", "Q1",
+           "Q0:0,1,0,1", "Q2:1,2,0,1", "Q2:0,1,1,3", "Q2:0,1,0,1", "Q2:-1,2,0,1", "Q2:x",
+           "char:0,1", "char:1,1", "char:-1,0", "char:2,0", "char", "bogus", "E100000",
+           "Q401:1,2,0,1", "Q1:1,1000000000,0,1"]
+# orders stay at or below about 60, so that a run is cheap; above cli.MAX_ORDER
+# only "10001" and "1e308", which must be rejected unbuilt
+_ORDERS = ["-1", "-5/6", "0", "1/7", "1/3", "1/2", "1", "5/2", "8", "301/5", "60"]
+_BAD_ORDERS = ["nan", "inf", "-inf", "x", "", "1/0", "1e-300", "10001", "1e308"]
+# well-formed values per parser type and per destination of a str flag;
+# any other flag draws from _NUMBERS alone
+_BY_TYPE = {cli.parse_order: (_ORDERS, _BAD_ORDERS), cli.parse_complex_pair: (_PAIRS,),
+            cli.parse_tolerance: (["1e-8", "1e-3", "1e-12"],),
+            cli.parse_fraction: (["0", "1/2", "4", "-1/2", "-4", "2"],)}
+_BY_DEST = {"series": _SERIES, "lhs": _SERIES, "rhs": _SERIES, "gamma": _MATRICES,
+            "pair": _SECTORS, "twist": _TWISTS}
 
 
 def _value(options, junk=_NUMBERS):
-    """Mostly well-formed values, a third of the time any number or junk."""
+    """Mostly well-formed values, a sixth of the time any number or junk."""
     if not options:
         return st.sampled_from(junk)
-    return st.one_of(st.sampled_from(options), st.sampled_from(options),
-                     st.sampled_from(junk))
+    return st.one_of(*[st.sampled_from(options)] * 5, st.sampled_from(junk))
+
+
+def _grammar() -> dict:
+    """command -> its flags as (flag, takes a value, required, repeatable,
+    values), read from make_parser()."""
+    parser = cli.make_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    grammar = {}
+    for name, sub in commands.items():
+        flags = []
+        for act in sub._actions:
+            if act.choices is not None:
+                values = _value([str(c) for c in act.choices])
+            elif act.type in _BY_TYPE:
+                values = _value(*_BY_TYPE[act.type])
+            else:
+                values = _value(_BY_DEST.get(act.dest, []))
+            flags.append((act.option_strings[-1], act.nargs != 0, act.required,
+                          isinstance(act, argparse._AppendAction), values))
+        grammar[name] = flags
+    return grammar
+
+
+_GRAMMAR = _grammar()
 
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["expand", "char", "check", "transform"]))
-    argv = [command, "--order", draw(_value(_ORDERS, _BAD_ORDERS))]
-    flags = {
-        "expand": [("--series", _value(_SERIES), True), ("--twist", _value(_PAIRS), False)],
-        "char": [("--pair", _value(_PAIRS), True)],
-        "check": [("--suite", st.sampled_from(list(SUITE_NAMES) + ["bogus"]), True),
-                  ("--tol", _value(["1e-8", "1e-3"]), False),
-                  ("--tau", _value(_PAIRS), False)],
-        "transform": [("--gamma", _value(_MATRICES), True), ("--lhs", _value(_SERIES), True),
-                      ("--rhs", _value(_SERIES), True), ("--tau", _value(_PAIRS), True),
-                      ("--weight", _value(["0", "1/2", "4"]), False),
-                      ("--multiplier", _value(_PAIRS), False),
-                      ("--tol", _value(["1e-8", "1e-3"]), False)],
-    }[command]
-    for flag, values, required in flags:
-        if required or draw(st.booleans()):
-            argv += [flag, draw(values)]
-    if draw(st.booleans()):
-        argv += ["--format", draw(_value(["text", "json"]))]
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for flag, takes_value, required, repeatable, values in _GRAMMAR[command]:
+        if not takes_value:  # --help, which ends the run, now and then
+            argv += [flag] if draw(st.integers(0, 15)) == 0 else []
+            continue
+        for _ in range(draw(st.integers(1 if required else 0, 2 if repeatable else 1))):
+            if draw(st.integers(0, 3)):
+                argv += [flag, draw(values)]
+            else:  # the joined form
+                argv.append(f"{flag}={draw(values)}")
     return argv
 
 
@@ -615,16 +744,25 @@ def test_caps_admit_their_bounds(monkeypatch):
     assert [a[0] for a in built] == [cli.MAX_WEIGHT, cli.MAX_WEIGHT, 2, 1]
 
 
+def test_the_grammar_reaches_every_command_and_flag():
+    assert sorted(_GRAMMAR) == ["char", "check", "expand", "transform"]
+    flags = {flag for spec in _GRAMMAR.values() for flag, *_ in spec}
+    assert {"--order", "--tau", "--gamma", "--multiplier", "--pair", "--twist",
+            "--weight", "--tol", "--series", "--suite", "--format", "--help"} <= flags
+
+
 @settings(max_examples=150, deadline=None)
 @given(cli_argv())
 def test_every_cli_run_ends_with_a_documented_exit_code(argv):
+    # any other exception escapes and fails the test
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
+        except SystemExit as exc:  # argparse's usage errors, and --help
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
 
 def test_closure_suite_builds_each_character_once():
