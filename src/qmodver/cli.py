@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import lattice, specfun, verify
 # mobius is not called here: perfbench/tracer.py rebinds this name, so a traced run needs it
@@ -86,16 +87,16 @@ def parse_weight(name: str) -> int:
 
 
 def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> PuiseuxSeries:
-    """Series vocabulary: eta, theta1..4, E<k>, Q<k>[:j,T,l,T1], char:i,j."""
-    name, _, arg = spec_text.partition(":")
-    if name == "eta":
-        return specfun.dedekind_eta(order)
-    if name.startswith("theta") and name[5:] in ("1", "2", "3", "4"):
-        return specfun.jacobi_theta(int(name[5:]), order)
-    if name.startswith("E") and name[1:].isdigit():
-        return specfun.eisenstein(parse_weight(name), order)
+    """Series vocabulary: eta, theta1..4, E<k>, Q<k>[:j,T,l,T1], char:i,j.
+    Only Q<k> and char take an argument after ":", and Q<k> takes its twist
+    inline or by `twist`, not both; a `twist` for any other series is
+    ignored, with a note on stderr."""
+    name, colon, arg = spec_text.partition(":")
     if name.startswith("Q") and name[1:].isdigit():
         k = parse_weight(name)
+        if arg and twist:
+            raise SeriesError(f"{spec_text!r} gives a twist inline and --twist gives "
+                              f"{twist!r}: give it once")
         twist_text = arg or twist
         if not twist_text:
             raise SeriesError(f"{name} needs a twist j,T,l,T1 (--twist or {name}:j,T,l,T1)")
@@ -106,9 +107,21 @@ def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> P
     if name == "char":
         if not arg:
             raise SeriesError("char needs sector indices, e.g. char:0,1")
-        i, j = parse_int_list(arg, 2, "sector pair")
-        return lattice.character(SectorPair(2, i, j), order).series
-    raise SeriesError(f"unknown series spec {spec_text!r}")
+        pair = SectorPair(2, *parse_int_list(arg, 2, "sector pair"))
+        build = lambda o: lattice.character(pair, o).series
+    elif name == "eta":
+        build = specfun.dedekind_eta
+    elif name.startswith("theta") and name[5:] in ("1", "2", "3", "4"):
+        build = partial(specfun.jacobi_theta, int(name[5:]))
+    elif name.startswith("E") and name[1:].isdigit():
+        build = partial(specfun.eisenstein, parse_weight(name))
+    else:
+        raise SeriesError(f"unknown series spec {spec_text!r}")
+    if colon and name != "char":
+        raise SeriesError(f"series {name} takes no argument, got {spec_text!r}")
+    if twist is not None:
+        print(f"note: --twist is ignored by series {name}", file=sys.stderr)
+    return build(order)
 
 
 def emit_series(series: PuiseuxSeries, fmt: str, extra: dict | None = None):

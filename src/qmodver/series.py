@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add
 from typing import Iterator, NamedTuple, Union
@@ -177,22 +177,19 @@ def _bits(vals) -> int:
     return max(map(abs, vals), default=0).bit_length()
 
 
-def _schoolbook(a, b, m: int, start: int = 0) -> list:
-    """Coefficients start, ..., m-1 of the product of the integer lists a and
-    b, summed over their nonzero pairs: the kernel for sparse operands.  An
-    element of a below start skips, by bisection, the elements of b that
-    would land below start, so no pair below start is formed."""
+def _schoolbook(a, b, m: int) -> list:
+    """The first m coefficients of the product of the integer lists a and b,
+    summed over their nonzero pairs: the kernel for sparse operands."""
     a = [(i, x) for i, x in enumerate(a) if x]
     b = [(i, y) for i, y in enumerate(b) if y]
-    idx = [i for i, _ in b] if start else None
     acc = [0] * m
     for ia, x in a:
         lim = m - ia
-        for ib, y in (islice(b, bisect_left(idx, start - ia), None) if ia < start else b):
+        for ib, y in b:
             if ib >= lim:
                 break
             acc[ia + ib] += x * y
-    return acc[start:] if start else acc
+    return acc
 
 
 def _bias(nb: int, n: int) -> int:
@@ -278,11 +275,9 @@ def _quotient(a, n, M: int, top: int) -> list:
     solves the left half, then reaches the right half from it in one of
     three ways.  When `_kronecker_pays` takes the product of that block of e
     with n_1 .. n_{hi-lo-1}, or when it turns the product down but at least
-    half of the block is zero (a sparse quotient such as theta), it adds the
-    product, by Kronecker or schoolbook, to the right half and solves that
-    half the same way.  Schoolbook forms only the pairs that land in the
-    right half, from its start index; the half was chosen when it also
-    formed the pairs below mid, about twice as many.  Otherwise (a dense
+    half of the block is zero (a sparse quotient such as theta), it forms
+    the whole product, by Kronecker or schoolbook, adds the part that lands
+    in the right half and solves that half the same way.  Otherwise (a dense
     block against a sparse n, as in the inverse of the Euler product, or
     blocks too wide in bits for their length) the right half runs the
     recurrence term by term, summing the terms from e[lo] on.  Ranges of at
@@ -298,16 +293,14 @@ def _quotient(a, n, M: int, top: int) -> list:
         mid = (lo + hi) // 2
         solve(lo, mid)
         left, right = e[lo:mid], n[1:hi - lo]
-        # term i of the block product lands at m = lo + 1 + i; those below mid are solved
-        skip = mid - lo - 1
         if _kronecker_pays(left, right):
-            c = _kronecker(left, right, hi - lo - 1)[skip:]
+            c = _kronecker(left, right, hi - lo - 1)  # c[i]: the terms at m = lo + 1 + i
         elif 2 * left.count(0) >= len(left):
-            c = _schoolbook(left, right, hi - lo - 1, skip)
+            c = _schoolbook(left, right, hi - lo - 1)
         else:
             _recur(e, tail, n[0], lo, mid, hi)
             return
-        e[mid:hi] = map(add, e[mid:hi], c)
+        e[mid:hi] = map(add, e[mid:hi], c[mid - lo - 1:])
         solve(mid, hi)
 
     solve(0, M)

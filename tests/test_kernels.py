@@ -264,49 +264,12 @@ def test_the_deep_theta3_row_division_takes_both_block_kernels():
     assert power / divisor == power * divisor.invert()
 
 
-class Counted(int):
-    """An int that counts the products it takes part in."""
-    products = 0
-
-    def __mul__(self, other):
-        Counted.products += 1
-        return int(self) * int(other)
-
-
-def pairs_in(a, b, start, m):
-    """The nonzero pairs of a and b whose index sum lies in [start, m)."""
-    return sum(1 for i, x in enumerate(a) if x
-               for j, y in enumerate(b) if y and start <= i + j < m)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(numerators, min_size=1, max_size=40),
-       st.lists(numerators, min_size=1, max_size=40),
-       st.integers(min_value=1, max_value=90), st.data())
-def test_schoolbook_forms_only_the_pairs_from_its_start(a, b, m, data):
-    start = data.draw(st.integers(min_value=0, max_value=m))
-    Counted.products = 0
-    got = series._schoolbook([Counted(x) for x in a], b, m, start)
-    assert got == series._schoolbook(a, b, m)[start:] == series._kronecker(a, b, m)[start:]
-    assert Counted.products == pairs_in(a, b, start, m)
-
-
-def test_the_theta3_row_division_forms_no_pair_below_its_block():
-    # at N = 1500 the division's schoolbook block products formed 19919
-    # pairs when each ran from index 0, 6976 of them landing below the half
-    # the block reaches and dropped; from its start each forms 12943
+def test_the_theta3_row_division_runs_58_schoolbook_block_products():
+    # at N = 1500 the quotient's sparse blocks reach their right halves
+    # through 58 schoolbook block products
     power, divisor = theta3_row(F(1500))
-    formed = []
-    school = series._schoolbook
-
-    def spy(a, b, m, start=0):
-        formed.append(pairs_in(a, b, start, m))
-        return school(a, b, m, start)
-
-    with patch.object(series, "_schoolbook", spy):
-        quotient = power / divisor
-    assert (len(formed), sum(formed)) == (58, 12943)
-    assert quotient == power * divisor.invert()
+    assert kernels_run(lambda: power / divisor).count("schoolbook") == 58
+    assert power / divisor == power * divisor.invert()
 
 
 @settings(max_examples=150, deadline=None)

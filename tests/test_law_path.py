@@ -3,7 +3,8 @@ of the loop it replaced, and structural guards on its per-call work.
 
 The reference below is the law path as it was with a residual closure, the
 `_numeric_law` that looped over the points through it, and a slash factor
-that read its weight as a Fraction at every point.  The guards count calls
+that read its weight as a Fraction at every point; tests/test_verify.py's
+property over random laws reads the same reference.  The guards count calls
 (Fraction constructions and `cmath.exp`), not time.
 """
 

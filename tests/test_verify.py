@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmodver import cli, lattice, specfun
-from qmodver.modgroup import S, T, ModularMatrix, SectorPair, mobius
+from qmodver.modgroup import S, T, ModularMatrix, SectorPair
 from qmodver.series import PuiseuxSeries
-from qmodver.verify import (SUITE_NAMES, CheckReport, DegenerateSectorError,
+from qmodver.verify import (SUITE_NAMES, DegenerateSectorError,
                             TransformSpec, WrongDomainError, check_series_equal,
                             check_transform_numeric, closure_scan, run_suite)
+from test_law_path import reference_transform_numeric
 
 
 # the run summary that `check` prints on stderr after its reports
@@ -86,28 +87,6 @@ class TestCheckTransformNumeric:
         spec = TransformSpec(S, F(4), 1 + 0j, (2j,), 1e-8)
         rep = check_transform_numeric("wrong", f, g, spec)
         assert not rep.passed and rep.max_residual > 1e-3
-
-
-def reference_transform_numeric(name, f, g, spec):
-    """`check_transform_numeric` as it was with its own residual loop, pass
-    rule and inline automorphy factor (c tau + d)^weight."""
-    order = min(f.order, g.order)
-    residuals, tails, details = [], [], []
-    for tau in spec.sample_points:
-        tau = complex(tau)
-        lhs = f.evaluate(mobius(spec.gamma, tau))
-        rhs = g.evaluate(tau)
-        auto = cmath.exp(float(spec.weight) * cmath.log(spec.gamma.c * tau + spec.gamma.d)) \
-            if spec.weight != 0 else 1.0 + 0j
-        factor = spec.multiplier * auto
-        res = abs(lhs.value - factor * rhs.value)
-        tail = lhs.tail_estimate + abs(factor) * rhs.tail_estimate
-        residuals.append(res)
-        tails.append(tail)
-        details.append({"tau": [tau.real, tau.imag], "residual": res, "tail": tail,
-                        "tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
-    passed = max(residuals) < spec.tolerance and max(tails) < spec.tolerance / 10
-    return CheckReport(name, "numeric", passed, order, max(residuals), max(tails), details)
 
 
 _LAW_SERIES = {"eta": specfun.dedekind_eta(40).to_complex(),
@@ -295,6 +274,38 @@ class TestCli:
 
     def test_expand_q_requires_twist(self, capsys):
         assert cli.main(["expand", "--series", "Q2", "--order", "3"]) == 2
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["transform", "--gamma", "0,-1,1,0", "--weight", "1/2", "--multiplier",
+          "0.7071067811865476,-0.7071067811865476", "--lhs", "eta:junk", "--rhs", "eta",
+          "--tau", "0,1"], "eta:junk"),
+        (["expand", "--series", "E4:1,2"], "E4:1,2"),
+        (["expand", "--series", "theta3:x"], "theta3:x"),
+        (["expand", "--series", "eta:"], "eta:")], ids=["transform", "E4", "theta3", "eta"])
+    def test_an_argument_on_a_series_that_takes_none_is_a_usage_error(self, capsys, argv,
+                                                                     spec):
+        assert cli.main(argv) == 2
+        name = spec.partition(":")[0]
+        assert capsys.readouterr() == ("", f"error: series {name} takes no argument, "
+                                           f"got {spec!r}\n")
+
+    def test_a_twist_given_inline_and_by_flag_is_a_usage_error(self, capsys):
+        assert cli.main(["expand", "--series", "Q2:1,2,0,1", "--twist", "0,1,1,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: 'Q2:1,2,0,1' gives a twist inline")
+        # either way alone builds the same series
+        assert cli.main(["expand", "--series", "Q2:1,2,0,1", "--order", "3"]) == 0
+        inline = capsys.readouterr()
+        assert cli.main(["expand", "--series", "Q2", "--twist", "1,2,0,1", "--order", "3"]) == 0
+        assert capsys.readouterr() == inline and inline.err == ""
+
+    @pytest.mark.parametrize("spec", ["E2", "eta", "theta3", "char:0,1"])
+    def test_twist_on_a_series_other_than_q_gives_a_note(self, capsys, spec):
+        assert cli.main(["expand", "--series", spec, "--order", "3"]) == 0
+        plain = capsys.readouterr()
+        assert cli.main(["expand", "--series", spec, "--twist", "1,2,0,1", "--order", "3"]) == 0
+        assert capsys.readouterr() == (
+            plain.out, f"note: --twist is ignored by series {spec.partition(':')[0]}\n")
 
     def test_char_json(self, capsys):
         assert cli.main(["char", "--pair", "1,0", "--order", "3",
@@ -652,7 +663,8 @@ _TWISTS = ["1,2,0,1", "0,1,1,3", "0,1,0,1", "-1,2,0,1", "1,-2,0,1", "1,2,0,-1", 
 _SERIES = ["eta", "theta1", "theta3", "theta5", "E2", "E4", "E3", "E0", "E-4", "Q1",
            "Q0:0,1,0,1", "Q2:1,2,0,1", "Q2:0,1,1,3", "Q2:0,1,0,1", "Q2:-1,2,0,1", "Q2:x",
            "char:0,1", "char:1,1", "char:-1,0", "char:2,0", "char", "bogus", "E100000",
-           "Q401:1,2,0,1", "Q1:1,1000000000,0,1"]
+           "Q401:1,2,0,1", "Q1:1,1000000000,0,1", "eta:junk", "eta:", "theta3:x", "E4:1,2",
+           "E2:", "Q2:", "char:"]
 # orders stay at or below about 60, so that a run is cheap; above cli.MAX_ORDER
 # only "10001" and "1e308", which must be rejected unbuilt
 _ORDERS = ["-1", "-5/6", "0", "1/7", "1/3", "1/2", "1", "5/2", "8", "301/5", "60"]
