@@ -59,6 +59,17 @@ def parse_tolerance(text: str) -> float:
     return tol
 
 
+def parse_law_weight(text: str) -> Fraction:
+    """A law's weight, which the law reads as a float."""
+    weight = parse_fraction(text)
+    try:
+        float(weight)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(
+            f"weight must be within the float range, got {text!r}") from exc
+    return weight
+
+
 def parse_complex_pair(text: str) -> complex:
     try:
         re, im = (float(p) for p in text.split(","))
@@ -86,11 +97,13 @@ def parse_weight(name: str) -> int:
     return k
 
 
-def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> PuiseuxSeries:
+def build_series(spec_text: str, order: Fraction, twist: str | None = None,
+                 twist_flag: bool = False) -> PuiseuxSeries:
     """Series vocabulary: eta, theta1..4, E<k>, Q<k>[:j,T,l,T1], char:i,j.
     Only Q<k> and char take an argument after ":", and Q<k> takes its twist
     inline or by `twist`, not both; a `twist` for any other series is
-    ignored, with a note on stderr."""
+    ignored, with a note on stderr.  `twist_flag` says whether the calling
+    command has a --twist flag, which a missing twist's message then offers."""
     name, colon, arg = spec_text.partition(":")
     if name.startswith("Q") and name[1:].isdigit():
         k = parse_weight(name)
@@ -99,7 +112,8 @@ def build_series(spec_text: str, order: Fraction, twist: str | None = None) -> P
                               f"{twist!r}: give it once")
         twist_text = arg or twist
         if not twist_text:
-            raise SeriesError(f"{name} needs a twist j,T,l,T1 (--twist or {name}:j,T,l,T1)")
+            forms = f"--twist or {name}:j,T,l,T1" if twist_flag else f"{name}:j,T,l,T1"
+            raise SeriesError(f"{name} needs a twist j,T,l,T1 ({forms})")
         j, T, l, T1 = parse_int_list(twist_text, 4, "twist")
         if order * T > 24 * MAX_ORDER:
             raise SeriesError(f"{name} needs order * T <= {24 * MAX_ORDER}, got {order * T}")
@@ -143,7 +157,7 @@ def print_reports(reports, fmt: str):
 
 
 def cmd_expand(args) -> int:
-    series = build_series(args.series, args.order, args.twist)
+    series = build_series(args.series, args.order, args.twist, twist_flag=True)
     emit_series(series, args.format)
     return EXIT_PASS
 
@@ -259,7 +273,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = command("transform", "test f(gamma tau) = mult (c tau+d)^w g(tau)", cmd_transform)
     p.add_argument("--gamma", required=True, help="matrix entries a,b,c,d")
-    p.add_argument("--weight", type=parse_fraction, default=Fraction(0))
+    p.add_argument("--weight", type=parse_law_weight, default=Fraction(0))
     p.add_argument("--multiplier", type=parse_complex_pair, default=1.0 + 0j,
                    help="re,im (default 1,0)")
     p.add_argument("--lhs", required=True, help="series spec for f")

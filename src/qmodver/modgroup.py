@@ -82,6 +82,12 @@ def act_on_pair(p: SectorPair, m: ModularMatrix) -> SectorPair:
     return SectorPair.make(p.n, m.a * p.i + m.c * p.j, m.b * p.i + m.d * p.j)
 
 
+def _cz_power(w: float, m: ModularMatrix, tau: complex) -> complex:
+    """(c tau + d)^w = exp(w log(c tau + d)), principal branch, for a float w
+    and a tau already checked; slash_factor and the numeric law share it."""
+    return cmath.exp(w * cmath.log(m.c * tau + m.d))
+
+
 def slash_factor(k, m: ModularMatrix, tau: complex) -> complex:
     """(c tau + d)^{-k}, principal branch for non-integer weight k; k is read
     as a Fraction unless it is an int or a Fraction already."""
@@ -90,4 +96,4 @@ def slash_factor(k, m: ModularMatrix, tau: complex) -> complex:
         k = Fraction(k)
     if not k:
         return 1.0 + 0j
-    return cmath.exp(-float(k) * cmath.log(m.c * tau + m.d))
+    return _cz_power(-float(k), m, tau)

@@ -22,9 +22,10 @@ are evaluation-only: they can be built, serialized, read, regridded
 (`truncate`, `rescale`, `shifted`) and evaluated, and every arithmetic or
 comparison kernel raises `WrongDomainError` on them.  `evaluate` reads exact
 series directly and returns, bit for bit, what their `to_complex()` returns;
-it sums only the terms before `exp` underflows to zero, stops once a bound
-on every later term is below a quarter ulp of each part of the running sum
-(so no later term can change a bit of it), and refuses a tau whose phases
+it sums only the terms before `exp` underflows to zero (and computes no
+tail term when five or more are past that cut), stops once a bound on every
+later term is below a quarter ulp of each part of the running sum (so no
+later term can change a bit of it), and refuses a tau whose phases
 exp(2 pi i Re(tau) e) would carry no correct bit.
 
 The exact kernels compute on the stored integers and carry den, never
@@ -62,7 +63,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add
+from operator import add, ge
 from typing import Iterator, NamedTuple, Union
 
 from ._record import FrozenRecord
@@ -519,16 +520,17 @@ class PuiseuxSeries(FrozenRecord):
         return _ratio(self.vals[j], self.den)
 
     def _float_view(self) -> tuple[tuple, tuple, tuple, float]:
-        """(exps, cs, sup, step), built and cached as `_float_cache` by the
-        first evaluation at a converging tau: exps[t] and cs[t] are the float
-        exponent (offset + i)/D and complex(c) of the t-th nonzero slot i, in
-        increasing order, sup[t] is the largest |cs[u]| over u >= t, and step
-        is the support step g/D."""
+        """(exps, terms, sup, step), built and cached as `_float_cache` by the
+        first evaluation at a converging tau: terms[t] is the pair (e, c) of
+        the float exponent e = (offset + i)/D and c = complex(coefficient) of
+        the t-th nonzero slot i, in increasing order, exps[t] is that e alone
+        (for the bisections), sup[t] is the largest |c| over terms u >= t, and
+        step is the support step g/D."""
         off, g, D = self.offset, self.g, self.ramification
-        nz = [(j, c) for j, c in enumerate(self._read_vals()) if c]
-        cs = [complex(c) for _, c in nz]
-        sup = tuple(accumulate(map(abs, reversed(cs)), max))[::-1]
-        view = (tuple([(off + j * g) / D for j, _ in nz]), tuple(cs), sup, g / D)
+        terms = tuple([((off + j * g) / D, complex(c))
+                       for j, c in enumerate(self._read_vals()) if c])
+        sup = tuple(accumulate([abs(c) for _, c in reversed(terms)], max))[::-1]
+        view = (tuple([e for e, _ in terms]), terms, sup, g / D)
         object.__setattr__(self, "_float_cache", view)
         return view
 
@@ -797,17 +799,19 @@ class PuiseuxSeries(FrozenRecord):
 
         The value is the sum, in increasing exponent order from 0j, of
         complex(c) * exp(w * e) with w = 2 pi i tau and e the correctly rounded
-        float exponent of each nonzero term, read from the cached float view,
-        so an exact series evaluates bit for bit as its to_complex() does.  The
-        sum stops before the first exponent with Re(w * e) < _EXP_UNDERFLOW,
-        found by bisection when the last exponent is past it and w * e is
-        finite there: past it every exp(w * e) is (+-0, +-0) and every term a
-        signed zero, and a sum that starts at +0j never becomes -0.0, so
-        adding them changes no bit and raises nothing.  A skipped term counts
-        as 0.0 among the last five that the tail and the reliability flag
-        read.  Before any exp, it raises `EvaluationError` when |Im(w) * e|
-        reaches `_PHASE_LIMIT` at a kept exponent: that phase would carry no
-        correct bit (and at such a tau, tau + 1 may round to tau).
+        float exponent of each nonzero term, read as (e, c) pairs from the
+        cached float view, so an exact series evaluates bit for bit as its
+        to_complex() does.  The sum stops before the first exponent with
+        Re(w * e) < _EXP_UNDERFLOW, found by bisection when the last exponent
+        is past it and w * e is finite there: past it every exp(w * e) is
+        (+-0, +-0) and every term a signed zero, and a sum that starts at +0j
+        never becomes -0.0, so adding them changes no bit and raises nothing.
+        A skipped term counts as 0.0 among the last five that the tail and
+        the reliability flag read, so when five or more are skipped the tail
+        is 0.0 and the flag True, and no kept term is computed for them alone.
+        Before any exp, it raises `EvaluationError` when |Im(w) * e| reaches
+        `_PHASE_LIMIT` at a kept exponent: that phase would carry no correct
+        bit (and at such a tau, tau + 1 may round to tau).
 
         Among the kept terms, the sum also stops at the first checked index i
         where 2 * sup[i] * |q|^e_i (sup[i] the largest |c| from i on, read
@@ -829,8 +833,13 @@ class PuiseuxSeries(FrozenRecord):
         quarter ulp, sums up to it and checks there again, since a sum that
         cancels has a smaller ulp.  Only indices before the last five kept
         terms are checked, because the tail and the reliability flag read
-        those five: they are always computed apart, with the same expression,
-        and added only when the cut did not fire.
+        those five: they are computed apart, with the same expression, and
+        added only when the cut did not fire; after a cut, they are not
+        computed at all when five or more terms were skipped.  Without a cut
+        they are summed and their moduli taken whatever the skip, so a kept
+        term whose modulus exceeds the float range raises `OverflowError`
+        there as `abs` does (after a cut every later term is below a quarter
+        ulp of the sum, so none can).
 
         So results are bit-identical to summing c * exp(2 pi i tau *
         float(e)) over every term with Fraction exponents; keep the per-term
@@ -842,7 +851,7 @@ class PuiseuxSeries(FrozenRecord):
         if tau.imag <= 0:
             raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} is not positive")
         try:
-            exps, cs, sup, step = self._float_cache
+            exps, terms, sup, step = self._float_cache
         except AttributeError:  # built below, after the convergence check
             exps, step = None, self.g / self.ramification
         rho = math.exp(-2 * math.pi * tau.imag * step)
@@ -851,7 +860,7 @@ class PuiseuxSeries(FrozenRecord):
                 f"|q|^step = {rho:.4f} >= 0.9 at tau = {tau}")
         if not exps:
             if exps is None:  # complex(c) may overflow, so only for a converging tau
-                exps, cs, sup, step = self._float_view()
+                exps, terms, sup, step = self._float_view()
             if not exps:
                 return EvalResult(0j, 0.0, True)
         w = 2j * math.pi * tau
@@ -871,7 +880,7 @@ class PuiseuxSeries(FrozenRecord):
         value = 0j
         i, j = 0, (_FIRST_CHECK if _FIRST_CHECK < top else top)
         while True:
-            for e, c in zip(exps[i:j], cs[i:j]):
+            for e, c in terms[i:j]:
                 value += c * exp(w * e)
             i = j
             if i == top:
@@ -899,20 +908,16 @@ class PuiseuxSeries(FrozenRecord):
             j = lo
         recent = []  # |t| for the last five kept terms t
         if i == top:  # no cut: they are summed too
-            for e, c in zip(exps[top:cut], cs[top:cut]):
+            for e, c in terms[top:cut]:
                 t = c * exp(w * e)
                 value += t
                 recent.append(abs(t))
-        else:
-            for e, c in zip(exps[top:cut], cs[top:cut]):
+        elif n - cut < 5:  # else five skipped terms fill the window
+            for e, c in terms[top:cut]:
                 recent.append(abs(c * exp(w * e)))
         if cut < n:
             recent = (recent + [0.0] * min(n - cut, 5))[-5:]
-        reliable = True
-        for x, y in zip(recent, recent[1:]):
-            if not x >= y:  # False for a NaN, too
-                reliable = False
-                break
+        reliable = all(map(ge, recent, recent[1:]))  # False at a NaN, too
         return EvalResult(value, recent[-1] * rho / (1.0 - rho), reliable)
 
     # -- serialization -----------------------------------------------------

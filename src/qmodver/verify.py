@@ -11,8 +11,8 @@ from typing import Callable, NamedTuple
 
 from . import lattice, specfun
 from ._record import Record
-from .modgroup import (S, T, ModularMatrix, SectorPair, act_on_pair, is_in_gamma,
-                       mobius, slash_factor)
+from .modgroup import (S, T, ModularMatrix, SectorPair, _cz_power, act_on_pair,
+                       is_in_gamma, mobius)
 from .series import EXACT, EvaluationError, PuiseuxSeries, WrongDomainError
 
 DEFAULT_EXACT_ORDER = 30
@@ -191,19 +191,25 @@ def _numeric_law(name: str, sides: dict, details: list, tol: float) -> CheckRepo
 
 def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
                             spec: TransformSpec) -> CheckReport:
-    """Residuals of f(gamma tau) = multiplier * (c tau + d)^weight * g(tau)."""
-    gamma, multiplier = spec.gamma, spec.multiplier
-    k = -spec.weight  # the slash factor's weight
+    """Residuals of f(gamma tau) = multiplier * (c tau + d)^weight * g(tau).
+
+    The weight is read once as a float, so a weight beyond the float range
+    raises OverflowError before the first evaluation; the factor is
+    multiplier * (c tau + d)^weight, as slash_factor(-weight) computes it,
+    and multiplier * (1 + 0j) at weight 0.  mobius checks each tau.
+    """
+    gamma, weight, multiplier = spec.gamma, spec.weight, spec.multiplier
+    w = float(weight)
     details = []
     for tau in spec.sample_points:
         tau = complex(tau)
-        lhs = f.evaluate(mobius(gamma, tau))
-        rhs = g.evaluate(tau)
-        factor = multiplier * slash_factor(k, gamma, tau)
+        value, tail, reliable = f.evaluate(mobius(gamma, tau))
+        g_value, g_tail, g_reliable = g.evaluate(tau)
+        factor = multiplier * (_cz_power(w, gamma, tau) if weight else 1.0 + 0j)
         details.append({"tau": [tau.real, tau.imag],
-                        "residual": abs(lhs.value - factor * rhs.value),
-                        "tail": lhs.tail_estimate + abs(factor) * rhs.tail_estimate,
-                        "tail_reliable": lhs.tail_reliable and rhs.tail_reliable})
+                        "residual": abs(value - factor * g_value),
+                        "tail": tail + abs(factor) * g_tail,
+                        "tail_reliable": reliable and g_reliable})
     return _numeric_law(name, {"lhs": f, "rhs": g}, details, spec.tolerance)
 
 

@@ -216,13 +216,22 @@ def test_a_law_at_one_point_makes_no_fraction_once_its_spec_is_built(law):
     one = TransformSpec(gamma, weight, multiplier, ONE_POINT, tol)
     many = TransformSpec(gamma, weight, multiplier, POINTS, tol)
     check_transform_numeric("law", f, g, many)  # builds each float view
-    # the law negates its weight once; Fraction.__neg__ goes through
-    # Fraction() before Python 3.12, and builds its result directly from 3.12
-    negation = fractions_made(lambda: -weight)
-    assert negation <= 1
-    assert fractions_made(lambda: check_transform_numeric("law", f, g, one)) == negation
+    # the law reads its weight once as a float and negates no Fraction
+    # (Fraction.__neg__ goes through Fraction() before Python 3.12)
+    assert fractions_made(lambda: check_transform_numeric("law", f, g, one)) == 0
     # and nothing per sample point
-    assert fractions_made(lambda: check_transform_numeric("law", f, g, many)) == negation
+    assert fractions_made(lambda: check_transform_numeric("law", f, g, many)) == 0
+
+
+def test_a_weight_beyond_the_float_range_raises_before_any_evaluation():
+    s = eta()
+    spec = TransformSpec(S, F(10 ** 400), 1 + 0j, POINTS, 1e-8)
+
+    def law():
+        with pytest.raises(OverflowError):
+            check_transform_numeric("law", s, s, spec)
+
+    assert calls_to(PuiseuxSeries, "evaluate", law) == 0
 
 
 @pytest.mark.parametrize("zero", [PuiseuxSeries.zero(F(60)), PuiseuxSeries.zero(F(7, 3)),

@@ -663,6 +663,55 @@ def test_evaluate_stops_where_exp_underflows():
     assert exp_calls(lambda: short.evaluate(750j / (2 * math.pi * 7.5))) == 8
 
 
+@pytest.mark.parametrize("tau, calls", [
+    # the quarter-ulp cut fires after 16 terms, and 5 or more terms lie past
+    # the underflow cut, so no term is computed for the tail
+    (0.3 + 1j, 16),
+    (0.3 + 3j, 8),
+])
+def test_no_tail_term_is_computed_when_five_are_past_the_underflow_cut(tau, calls):
+    q2 = q2_400()
+    assert outcome(q2.evaluate, tau) == outcome(reference_evaluate, q2, tau)
+    assert exp_calls(lambda: q2.evaluate(tau)) == calls
+    assert exp_calls(lambda: q2.to_complex().evaluate(tau)) == calls
+
+
+def hundred_kept(skipped, fires):
+    """Terms at q^0 .. q^(99 + skipped) and the tau at which exp(w e)
+    underflows from e = 100 on, so that `skipped` terms lie past the cut.
+    Complex coefficients at a tau off the imaginary axis let the quarter-ulp
+    cut fire at q^8; real ones at a purely imaginary tau never cut."""
+    y = 750 / (2 * math.pi * 99.5)
+    cs = [complex(1 + e % 7, 2 - e % 3) if fires else 1 + e % 7 for e in range(100 + skipped)]
+    s = PuiseuxSeries.from_terms([(F(e), c) for e, c in enumerate(cs)], 100 + skipped,
+                                 COMPLEX if fires else EXACT)
+    return s, (0.1 + 1j * y if fires else 1j * y)
+
+
+@pytest.mark.parametrize("fires", [True, False], ids=["cut-fires", "no-cut"])
+@pytest.mark.parametrize("skipped", [4, 5, 6])
+def test_evaluate_matches_the_reference_at_the_edge_of_the_tail_skip(skipped, fires):
+    s, tau = hundred_kept(skipped, fires)
+    assert kept_terms(s, tau) == 100
+    assert outcome(s.evaluate, tau) == outcome(reference_evaluate, s, tau)
+    # the cut stops at q^8; the last five kept terms are computed for the
+    # tail only while fewer than five are skipped
+    tail = 5 if skipped < 5 else 0
+    assert exp_calls(lambda: s.evaluate(tau)) == (8 + tail if fires else 100)
+
+
+@pytest.mark.parametrize("skipped", [4, 5])
+def test_a_kept_term_beyond_the_float_range_raises_whatever_the_skip(skipped):
+    # at tau = i the q^-1 term has finite parts near 1.34e308 but a modulus
+    # past the float maximum; q^120 on underflow
+    s = PuiseuxSeries.from_terms(
+        [(F(-1), 2.5e305 * (1 + 1j))] + [(F(120 + k), 1.0) for k in range(skipped)],
+        130, COMPLEX)
+    assert kept_terms(s, 1j) == 1
+    assert outcome(s.evaluate, 1j) == "OverflowError: absolute value too large"
+    assert outcome(s.evaluate, 1j) == outcome(reference_evaluate, s, 1j)
+
+
 # -- the quarter-ulp cut: no later term can change a bit of the sum -----------
 
 def kept_terms(s, tau):

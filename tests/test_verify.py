@@ -275,6 +275,16 @@ class TestCli:
     def test_expand_q_requires_twist(self, capsys):
         assert cli.main(["expand", "--series", "Q2", "--order", "3"]) == 2
 
+    @pytest.mark.parametrize("argv, forms", [
+        (["expand", "--series", "Q2", "--order", "3"], "--twist or Q2:j,T,l,T1"),
+        # transform has no --twist flag, so the message offers only the inline form
+        (["transform", "--gamma", "1,1,0,1", "--lhs", "Q2", "--rhs", "eta", "--tau", "0,2"],
+         "Q2:j,T,l,T1"),
+    ], ids=["expand", "transform"])
+    def test_a_missing_twist_names_the_forms_the_command_accepts(self, capsys, argv, forms):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: Q2 needs a twist j,T,l,T1 ({forms})\n")
+
     @pytest.mark.parametrize("argv, spec", [
         (["transform", "--gamma", "0,-1,1,0", "--weight", "1/2", "--multiplier",
           "0.7071067811865476,-0.7071067811865476", "--lhs", "eta:junk", "--rhs", "eta",
@@ -504,6 +514,20 @@ class TestCliFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "tolerance must be finite and > 0" in err
 
+    @pytest.mark.parametrize("weight", ["1e400", "-1e400", str(10 ** 400)],
+                             ids=["1e400", "-1e400", "10**400"])
+    def test_a_weight_beyond_the_float_range_is_a_usage_error(self, capsys, monkeypatch,
+                                                              weight):
+        # refused while parsing, before either series is built
+        monkeypatch.setattr(cli, "build_series", None)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transform", "--gamma", "0,-1,1,0", "--weight", weight,
+                      "--lhs", "eta", "--rhs", "eta", "--tau", "0,1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and (
+            f"argument --weight: weight must be within the float range, got {weight!r}" in err)
+
     @pytest.mark.parametrize("argv", [
         ["expand", "--series", "eta"], ["char", "--pair", "0,1"], ["check", "--suite", "qk"],
         ["transform", "--gamma", "1,1,0,1", "--lhs", "eta", "--rhs", "eta", "--tau", "0,2"]],
@@ -618,8 +642,8 @@ class TestCliRobustness:
     @pytest.mark.parametrize("argv", [
         # eta truncated at order 0 is 0, and the half-argument law divides by it
         ["check", "--suite", "transforms", "--order", "0", "--tau", "0,1"],
-        # a weight beyond the float range
-        ["transform", "--gamma", "0,-1,1,0", "--weight", "1e400", "--lhs", "E4",
+        # a weight within the float range whose slash factor overflows
+        ["transform", "--gamma", "0,-1,1,0", "--weight", "1e308", "--lhs", "E4",
          "--rhs", "E4", "--tau", "0,2"]], ids=["zero-division", "overflow"])
     def test_arithmetic_errors_exit_3(self, capsys, argv):
         assert cli.main(argv) == 3
