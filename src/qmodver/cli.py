@@ -251,7 +251,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = command("expand", "print the q-expansion of a named series", cmd_expand)
     p.add_argument("--series", required=True,
-                   help="eta | theta1..theta4 | E<k> | Q<k>")
+                   help="eta | theta1..theta4 | E<k> | Q<k> (twist by --twist) | "
+                        "Q<k>:j,T,l,T1 | char:i,j; for even k, Q<k>:0,1,0,1 is E<k>")
     p.add_argument("--twist", help="j,T,l,T1 for Q<k>")
     p.add_argument("--order", type=parse_order, default=Fraction(20),
                    help=f"truncation order NUM[/DEN], at most {MAX_ORDER}")

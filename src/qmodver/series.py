@@ -833,13 +833,14 @@ class PuiseuxSeries(FrozenRecord):
         quarter ulp, sums up to it and checks there again, since a sum that
         cancels has a smaller ulp.  Only indices before the last five kept
         terms are checked, because the tail and the reliability flag read
-        those five: they are computed apart, with the same expression, and
-        added only when the cut did not fire; after a cut, they are not
-        computed at all when five or more terms were skipped.  Without a cut
-        they are summed and their moduli taken whatever the skip, so a kept
-        term whose modulus exceeds the float range raises `OverflowError`
-        there as `abs` does (after a cut every later term is below a quarter
-        ulp of the sum, so none can).
+        those five: one loop after the checks computes them with the same
+        expression, sums them and takes their moduli.  After a cut each is
+        below a quarter ulp of the sum, as every later term is, so adding it
+        changes no bit; and after a cut they are not computed at all when
+        five or more terms were skipped.  Without a cut they are computed
+        whatever the skip, so a kept term whose modulus exceeds the float
+        range raises `OverflowError` there as `abs` does (after a cut none
+        can).
 
         So results are bit-identical to summing c * exp(2 pi i tau *
         float(e)) over every term with Fraction exponents; keep the per-term
@@ -906,15 +907,14 @@ class PuiseuxSeries(FrozenRecord):
                 else:
                     lo = mid + 1
             j = lo
-        recent = []  # |t| for the last five kept terms t
-        if i == top:  # no cut: they are summed too
+        # |t| for the last five kept terms t, each summed too (a no-op after a
+        # cut); none is formed when the cut fired and five skipped terms fill the window
+        recent = []
+        if i == top or n - cut < 5:
             for e, c in terms[top:cut]:
                 t = c * exp(w * e)
                 value += t
                 recent.append(abs(t))
-        elif n - cut < 5:  # else five skipped terms fill the window
-            for e, c in terms[top:cut]:
-                recent.append(abs(c * exp(w * e)))
         if cut < n:
             recent = (recent + [0.0] * min(n - cut, 5))[-5:]
         reliable = all(map(ge, recent, recent[1:]))  # False at a NaN, too

@@ -1,5 +1,6 @@
-"""Special q-series: Bernoulli polynomials, Eisenstein series, twisted Q_k,
-Dedekind eta, Jacobi theta functions and the partition generating function.
+"""Special q-series: Bernoulli polynomials, twisted Q_k and the Eisenstein
+series E_k, which is Q_k at the trivial twist (mu, lambda) = (1, 1), Dedekind
+eta, Jacobi theta functions and the partition generating function.
 
 Everything is returned as an exact PuiseuxSeries unless a twist forces complex
 coefficients (roots of unity other than +-1).
@@ -18,7 +19,8 @@ from .series import COMPLEX, EXACT, PuiseuxSeries, SeriesError
 
 
 class InvalidTwistError(SeriesError):
-    """Q_k with k >= 1 needs (mu, lambda) != (1, 1)."""
+    """Q_k at (mu, lambda) = (1, 1) with an odd k: Q_1 has a pole there
+    (lambda/(1 - lambda)), and E_k, which Q_k is there, is taken for even k only."""
 
 
 def _memoized_by_order(build):
@@ -93,22 +95,12 @@ def divisor_sigma(k: int, n: int) -> int:
 
 
 def eisenstein(k: int, order) -> PuiseuxSeries:
-    """Normalized Eisenstein series -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n."""
+    """Normalized Eisenstein series -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n:
+    Q_k at (mu, lambda) = (1, 1), where both geometric sums run over x = 1, 2,
+    ... with weight x^{k-1}/(k-1)! and together give 2 sigma_{k-1}(n)/(k-1)!."""
     if k < 2 or k % 2 != 0:
         raise ValueError("Eisenstein series is defined here for even k >= 2")
-    order = Fraction(order)
-    # values over den = (k-1)! on the grid of the order's denominator:
-    # the constant -B_k/k! * (k-1)! = -B_k/k, then 2 sigma_{k-1}(n) at q^n,
-    # with every sigma_{k-1}(n), n < N, from one divisor sieve
-    D, N = order.denominator, max(1, math.ceil(order))
-    sigma = [0] * N
-    for d in range(1, N):
-        p = d ** (k - 1)
-        for n in range(d, N, d):
-            sigma[n] += p
-    terms = [(0, -bernoulli_number(k) / k)]
-    terms += [(n * D, 2 * sigma[n]) for n in range(1, N)]
-    return PuiseuxSeries.from_slots(terms, D, order, den=math.factorial(k - 1))
+    return q_twisted(k, TwistParams(0, 1, 0, 1), order)
 
 
 class TwistParams(FrozenRecord):
@@ -143,14 +135,18 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     num = T - j, 2T - j, ... with weight (-1)^k x^{k-1}/(k-1)! and root
     lambda^{-1}.  Each factor root q^x / (1 - root q^x) is expanded as
     sum_{m >= 1} root^m q^{mx} below the order.
+
+    At the trivial twist (mu, lambda) = (1, 1) an even k gives Zhu's E_k,
+    which `eisenstein` builds here, and an odd k raises `InvalidTwistError`.
     """
     if k < 0:
         raise ValueError("Q_k needs k >= 0")
     order = Fraction(order)
     if k == 0:
         return PuiseuxSeries.monomial(Fraction(-1), Fraction(0), order)
-    if tw.trivial:
-        raise InvalidTwistError("Q_k with k >= 1 requires (mu, lambda) != (1, 1)")
+    if tw.trivial and k % 2:
+        raise InvalidTwistError(f"Q_{k} at (mu, lambda) = (1, 1) needs an even k, "
+                                "where Q_k is E_k (Q_1 has a pole there)")
 
     K = math.factorial(k - 1)
     KT = K * tw.T ** (k - 1)  # x^{k-1}/K = num^{k-1}/KT at x = num/T
@@ -235,10 +231,11 @@ def eta_half_period_series(order) -> PuiseuxSeries:
 @_memoized_by_order
 def partition_gf(order) -> PuiseuxSeries:
     """sum_{n>=0} P(n) q^n = prod (1 - q^n)^{-1}; memoized, so the sectors
-    of one order share one build."""
+    of one order share one build.  At an order <= 0 no term is kept, and it
+    is the zero series, as the other builders are below their first term."""
     order = Fraction(order)
     if order <= 0:
-        raise SeriesError(f"partition_gf needs a positive order, got {order}")
+        return PuiseuxSeries.zero(order)
     return euler_product(order).invert()
 
 

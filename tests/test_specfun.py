@@ -103,6 +103,11 @@ class TestQTwisted:
         with pytest.raises(InvalidTwistError):
             q_twisted(1, TwistParams(0, 1, 0, 1), 10)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_odd_k_at_the_trivial_twist_is_refused(self, k):
+        with pytest.raises(InvalidTwistError, match=f"Q_{k} at .* needs an even k"):
+            q_twisted(k, TwistParams(0, 1, 0, 1), 10)
+
     def test_q1_lambda_minus_one_constant(self):
         s = q_twisted(1, TwistParams(0, 1, 1, 2), 10)
         assert s.coefficient_at(0) == 0
@@ -192,7 +197,7 @@ WIDE_TWISTS = [TwistParams(j, T, l, T1) for T in (4, 6) for T1 in (4, 6)
 def test_q_twisted_matches_fraction_reference(k, order):
     # json text, so even the sign of a zero float component must agree
     for tw in TWISTS + (WIDE_TWISTS if order < 30 else []):
-        if k >= 1 and tw.trivial:
+        if k % 2 and tw.trivial:  # Q_1 has a pole at (1, 1); odd k is refused there
             continue
         got = json.dumps(q_twisted(k, tw, order).to_json_dict())
         assert got == json.dumps(ref_q_twisted(k, tw, order).to_json_dict()), tw
@@ -315,6 +320,11 @@ def test_closed_form_matches_product_loop(name, order):
 
 
 class TestPartitionGf:
+    @pytest.mark.parametrize("order", [F(0), F(-1), F(-1, 2)], ids=str)
+    def test_zero_series_at_nonpositive_orders(self, order):
+        # as eta, theta, E_k and Q_k are below their first term
+        assert partition_gf(order) == PuiseuxSeries.zero(order) == euler_product(order)
+
     def test_golden_values(self):
         pg = partition_gf(201)
         assert pg.coefficient_at(100) == 190569292
@@ -371,6 +381,20 @@ def test_eisenstein_sieve_matches_divisor_sigma(k, order):
     terms += [(F(n), F(2 * divisor_sigma(k - 1, n), math.factorial(k - 1)))
               for n in range(1, math.ceil(order))]
     assert ek == PuiseuxSeries.from_terms(terms, order)
+
+
+TRIVIAL_TWIST_ORDERS = [F(-3), F(-1, 2), F(0), F(1, 3), F(1), F(7, 2), F(30), F(61, 3),
+                        F(60), F(120), F(121), F(301, 3)]
+
+
+@pytest.mark.parametrize("k", [*range(2, 41, 2), 100, 400])
+def test_eisenstein_is_q_twisted_at_the_trivial_twist(k):
+    # Zhu's E_k is Q_k at (mu, lambda) = (1, 1); one stored form, so == and JSON agree
+    for order in TRIVIAL_TWIST_ORDERS if k <= 40 else [o for o in TRIVIAL_TWIST_ORDERS
+                                                        if o <= 30]:
+        ek, qk = eisenstein(k, order), q_twisted(k, TwistParams(0, 1, 0, 1), order)
+        assert ek == qk, (k, order)
+        assert json.dumps(ek.to_json_dict()) == json.dumps(qk.to_json_dict()), (k, order)
 
 
 @pytest.mark.parametrize("builder", [partition_gf, dedekind_eta], ids=lambda f: f.__name__)

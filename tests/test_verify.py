@@ -260,9 +260,20 @@ class TestCli:
     def test_nonpositive_orders(self, capsys):
         assert cli.main(["expand", "--series", "eta", "--order", "0"]) == 0
         assert capsys.readouterr().out == "# O(q^(0))\n"
-        # the character builds its oscillator factor one order higher
-        assert cli.main(["char", "--pair", "0,1", "--order", "-1"]) == 2
-        assert capsys.readouterr().err == "error: partition_gf needs a positive order, got 0\n"
+        # the character builds its oscillator factor one order higher, at 0
+        # here, where partition_gf is the zero series as every builder is
+        assert cli.main(["char", "--pair", "0,1", "--order", "-1"]) == 0
+        assert capsys.readouterr() == ("# O(q^(-1))\n", "")
+        assert cli.main(["expand", "--series", "char:0,1", "--order", "-1"]) == 0
+        assert capsys.readouterr() == ("# O(q^(-1))\n", "")
+
+    def test_expand_help_lists_every_series_spec(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["expand", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for spec in ("eta", "theta1..theta4", "E<k>", "Q<k>:j,T,l,T1", "char:i,j",
+                     "Q<k>:0,1,0,1 is E<k>"):
+            assert spec in out, spec
 
     def test_expand_json_schema(self, capsys):
         assert cli.main(["expand", "--series", "theta3", "--order", "4",
@@ -598,6 +609,29 @@ def test_eisenstein_constant_terms_are_compared_with_literal_values(monkeypatch)
     reports, _ = run_suite("eisenstein")
     assert {r.name: r.passed for r in reports if r.name.endswith("-constant-term")} == {
         "E2-constant-term": True, "E4-constant-term": False, "E6-constant-term": True}
+
+
+def test_eisenstein_suite_builds_every_e_k_through_q_twisted(monkeypatch):
+    # E_k is Q_k at the trivial twist: each of the suite's six E_k builds
+    # reaches q_twisted at (mu, lambda) = (1, 1), and nothing else does
+    e_builds, trivial_q_builds = [], []
+    eisenstein, q_twisted = specfun.eisenstein, specfun.q_twisted
+
+    def counted_eisenstein(k, order):
+        e_builds.append((k, order))
+        return eisenstein(k, order)
+
+    def counted_q_twisted(k, tw, order):
+        if tw.trivial:
+            trivial_q_builds.append((k, order))
+        return q_twisted(k, tw, order)
+
+    monkeypatch.setattr(specfun, "eisenstein", counted_eisenstein)
+    monkeypatch.setattr(specfun, "q_twisted", counted_q_twisted)
+    reports, status = run_suite("eisenstein")
+    assert status == 0 and len(reports) == 6
+    assert [k for k, _ in trivial_q_builds] == [2, 4, 6, 4, 6, 2]
+    assert trivial_q_builds == e_builds
 
 
 def test_e2_defect_compared_with_predicted_value():
