@@ -188,8 +188,9 @@ def cmd_check(args) -> int:
     sys.stdout.flush()  # what follows comes after the reports that reached the reader
     if args.order == 0:
         print("note: at --order 0 no series keeps a term: each exact check reports "
-              "insufficient order, and each numeric law fails on a vanishing side or "
-              "aborts where it divides by one", file=sys.stderr)
+              "insufficient order, and each numeric law fails on a vanishing side, or "
+              "its suite aborts where a sample point fails the convergence check",
+              file=sys.stderr)
     counts = {verdict: 0 for verdict in ("pass", "xfail", "fail", "abort")}
     for rep in reports:
         counts[rep.verdict()] += 1

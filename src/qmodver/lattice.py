@@ -66,11 +66,14 @@ def lattice_sum(sector: SectorPair, order) -> PuiseuxSeries:
 def character(sector: SectorPair, order) -> CharacterData:
     """q^{1/12} * (sum P(n) q^n) * lattice_sum(sector), exact, truncated at
     order; memoized, so the rows and laws that read one character share one
-    build."""
+    build.  A product that knows less than the order (a zero product, below
+    order -25/12) gives the zero series at the order."""
     order = Fraction(order)
     inner = order + 1
     series = (partition_gf(inner) * lattice_sum(sector, inner))
     series = series.shifted(PREFACTOR_EXP).truncate(order)
+    if series.order < order:
+        series = PuiseuxSeries.zero(order)
     return CharacterData(sector, CENTRAL_CHARGE, series)
 
 

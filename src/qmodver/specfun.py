@@ -143,7 +143,7 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
         raise ValueError("Q_k needs k >= 0")
     order = Fraction(order)
     if k == 0:
-        return PuiseuxSeries.monomial(Fraction(-1), Fraction(0), order)
+        return PuiseuxSeries.from_terms([(0, -1)], order)  # the zero series at an order <= 0
     if tw.trivial and k % 2:
         raise InvalidTwistError(f"Q_{k} at (mu, lambda) = (1, 1) needs an even k, "
                                 "where Q_k is E_k (Q_1 has a pole there)")

@@ -199,3 +199,17 @@ def test_character_is_memoized_and_equals_a_fresh_build():
     assert character(sector, order) is character(sector, 40)
     assert character(sector, order) == character.__wrapped__(sector, order)
     assert character.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("order", [F(-5, 2), F(-3)], ids=str)
+def test_character_below_a_zero_product_is_the_zero_series_at_the_order(order):
+    # below -25/12 the product knows less than the order; the character keeps the order
+    for sector in all_sectors():
+        assert character(sector, order).series == PuiseuxSeries.zero(order)
+
+
+def test_the_zero_character_keeps_its_stored_grid():
+    # only a product that knows too little is replaced: the (0,0) character
+    # at order 30 stays on the 1/12 grid, from offset 373
+    series = character(SectorPair(2, 0, 0), 30).series
+    assert series.is_zero() and (series.ramification, series.offset) == (12, 373)

@@ -99,6 +99,11 @@ class TestQTwisted:
             s = q_twisted(0, tw, 10)
             assert s.equals(PuiseuxSeries.monomial(F(-1), 0, 10))
 
+    @pytest.mark.parametrize("order", [F(0), F(-1)], ids=str)
+    def test_q0_below_its_term_is_the_zero_series(self, order):
+        for tw in (TwistParams(0, 1, 0, 1), TwistParams(0, 1, 1, 2)):
+            assert q_twisted(0, tw, order) == PuiseuxSeries.zero(order)
+
     def test_invalid_twist(self):
         with pytest.raises(InvalidTwistError):
             q_twisted(1, TwistParams(0, 1, 0, 1), 10)

@@ -19,15 +19,16 @@ from qmodver.modgroup import S, T, ModularMatrix, SectorPair
 from qmodver.series import PuiseuxSeries
 from qmodver.verify import (SUITE_NAMES, DegenerateSectorError,
                             TransformSpec, WrongDomainError, check_series_equal,
-                            check_transform_numeric, closure_scan, run_suite)
+                            check_transform_numeric, closure_scan, run_suite,
+                            transforms_suite)
 from test_law_path import reference_transform_numeric
 
 
 # the run summary that `check` prints on stderr after its reports
 _SUMMARY = re.compile(r"(\d+) pass, (\d+) xfail, (\d+) fail, (\d+) abort in \d+\.\d{3} s")
 _ORDER_ZERO_NOTE = ("note: at --order 0 no series keeps a term: each exact check reports "
-                    "insufficient order, and each numeric law fails on a vanishing side "
-                    "or aborts where it divides by one\n")
+                    "insufficient order, and each numeric law fails on a vanishing side, "
+                    "or its suite aborts where a sample point fails the convergence check\n")
 
 
 def before_summary(err: str) -> str:
@@ -173,6 +174,22 @@ class TestClosureScan:
         with pytest.raises(DegenerateSectorError):
             closure_scan(SectorPair(2, 0, 0), T, (2j,), 1e-8)
 
+    def test_a_target_zero_below_a_low_order_reports_insufficient_order(self):
+        # at order 0 the (0,1) character keeps no term, so nothing says that
+        # the target, itself under T, vanishes identically
+        target, _, rep = closure_scan(SectorPair(2, 0, 1), T, (1j,), 1e-8, order=0)
+        assert target == SectorPair(2, 0, 1) and not rep.passed
+        assert rep.details[0] == {"error": "insufficient order", "have": "0",
+                                  "need": "a nonzero term on each side"}
+        assert rep.details[-1]["fitted"] is None
+        # a target whose every term underflows at the point has no ratio either
+        rep = closure_scan(SectorPair(2, 0, 1), T, (2000j,), 1e-8)[2]
+        assert rep.details[-1]["fitted"] is None
+        # (0,0) has no multiplier at any order
+        for gamma in (T, S):
+            with pytest.raises(DegenerateSectorError):
+                closure_scan(SectorPair(2, 0, 0), gamma, (1j,), 1e-8, order=0)
+
 
 class TestRunSuite:
     def test_unknown_suite(self):
@@ -232,6 +249,15 @@ class TestRunSuite:
         reports, status = run_suite("all", exact_order=0)
         assert status == 1
         assert [r.name for r in reports] == [r.name for r in run_suite("all")[0]]
+
+    def test_order_zero_all_suites_at_a_convergent_point(self, capsys):
+        # at tau = i every sample point converges, so no suite aborts and
+        # every row is reported
+        assert cli.main(["check", "--suite", "all", "--order", "0", "--tau", "0,1"]) == 1
+        out, err = capsys.readouterr()
+        assert before_summary(err) == _ORDER_ZERO_NOTE
+        names = [line.split("] ", 1)[1].split("  ")[0] for line in out.splitlines()]
+        assert names == [r.name for r in run_suite("all")[0]]
 
     def test_all_passes(self):
         reports, status = run_suite("all")
@@ -568,7 +594,10 @@ class TestCliFlags:
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(reports) == {"closure": 7, "transforms": 3}[suite]
         for r in reports:
-            assert [d["tau"] for d in r["details"] if "tau" in d] == [[0.0, 5.0]], r["name"]
+            taus = [d["tau"] for d in r["details"] if "tau" in d]
+            assert taus == ([[0.0, 5.0]] if r["kind"] == "numeric" else []), r["name"]
+        assert [r["kind"] for r in reports].count("numeric") == {"closure": 7,
+                                                                 "transforms": 2}[suite]
 
     @pytest.mark.parametrize("suite, fmt", [("all", "text"), ("all", "json"),
                                             ("identities", "text"), ("transforms", "json")])
@@ -599,6 +628,40 @@ class TestCliFlags:
         assert cli.main(["check", "--suite", "transforms", "--tol", "1e-8",
                          "--tau", "0,2"]) == 0
         assert before_summary(capsys.readouterr().err) == ""
+
+
+def _half_argument_row(order, sample_points=None):
+    return next(r for r in transforms_suite(order, sample_points=sample_points)
+                if r.name == "eta-half-argument-law")
+
+
+@pytest.mark.parametrize("order", [F(30), F(60), F(301, 3)], ids=str)
+def test_eta_half_argument_law_is_an_exact_row(order):
+    rep = _half_argument_row(order)
+    assert rep.passed and rep.kind == "exact-series" and rep.order_used == order
+    assert rep.details == []
+
+
+@pytest.mark.parametrize("order", [F(0), F(1, 48)], ids=str)
+def test_eta_half_argument_law_needs_an_order_above_its_first_term(order):
+    rep = _half_argument_row(order, sample_points=(1j,))
+    assert not rep.passed and rep.order_used == order
+    assert rep.details == [{"error": "insufficient order", "have": str(order),
+                            "need": "above 1/48"}]
+
+
+@pytest.mark.parametrize("mutation", ["shift_tau-identity", "eta(tau/2)-left-side"])
+def test_eta_half_argument_law_catches_a_wrong_left_side(monkeypatch, mutation):
+    # either mutation leaves eta(tau/2) as the left side, whose q^{25/48}
+    # coefficient is -1 where tau -> tau + 1 makes it +1
+    if mutation == "shift_tau-identity":
+        monkeypatch.setattr(PuiseuxSeries, "shift_tau", lambda self, s: self)
+    else:
+        monkeypatch.setattr(specfun, "eta_half_period_series",
+                            lambda order: specfun.dedekind_eta(2 * F(order)).rescale(F(1, 2)))
+    rep = _half_argument_row(F(60))
+    assert not rep.passed
+    assert rep.details == [{"first_mismatch_exponent": "25/48", "lhs": "-1", "rhs": "1"}]
 
 
 def test_eisenstein_constant_terms_are_compared_with_literal_values(monkeypatch):
@@ -674,14 +737,30 @@ class TestCliRobustness:
         assert next(r for r in reports if r.name.startswith("Q2-(mu")).passed
 
     @pytest.mark.parametrize("argv", [
-        # eta truncated at order 0 is 0, and the half-argument law divides by it
-        ["check", "--suite", "transforms", "--order", "0", "--tau", "0,1"],
         # a weight within the float range whose slash factor overflows
         ["transform", "--gamma", "0,-1,1,0", "--weight", "1e308", "--lhs", "E4",
-         "--rhs", "E4", "--tau", "0,2"]], ids=["zero-division", "overflow"])
+         "--rhs", "E4", "--tau", "0,2"]], ids=["overflow"])
     def test_arithmetic_errors_exit_3(self, capsys, argv):
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_builders_below_their_first_term_print_the_zero_series(self, capsys):
+        assert cli.main(["expand", "--series", "Q0:0,1,1,2", "--order", "0"]) == 0
+        assert capsys.readouterr() == ("# O(q^(0))\n", "")
+        assert cli.main(["char", "--pair", "1,1", "--order", "-5/2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["order"] == {"num": -5, "den": 2} and doc["terms"] == []
+
+    @pytest.mark.parametrize("suite, n_fail", [("transforms", 3), ("closure", 7)])
+    def test_order_zero_at_a_convergent_point_fails_every_law(self, capsys, suite, n_fail):
+        # eta and the untwisted characters are zero at order 0: no law divides by a side,
+        # and no target sector counts as identically zero
+        argv = ["check", "--suite", suite, "--order", "0", "--tau", "0,1"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == n_fail and all(line.startswith("FAIL ") for line in lines)
+        assert before_summary(err) == _ORDER_ZERO_NOTE
 
     @pytest.mark.parametrize("argv", [
         ["check", "--suite", "eisenstein", "--format", "json"],
