@@ -76,6 +76,7 @@ class TransformSpec(NamedTuple):
     multiplier: complex
     sample_points: tuple
     tolerance: float
+    defect: complex = 0j
 
 
 class _ExactRow(NamedTuple):
@@ -151,66 +152,58 @@ def _exact_rows(rows) -> list[CheckReport]:
 _LEAD_BOUND = 1
 
 
-def _numeric_law(name: str, sides: dict, details: list, tol: float) -> CheckReport:
-    """The numeric pass rule over the evaluated sample points.
-
-    `details` holds one entry per point, with the residual and the tail
-    estimate of a law between the series `sides` (label -> series); the law
-    passes when every residual is below tol and every tail below tol/10.  A
-    side with no nonzero term below its order has value 0 and tail 0 at every
-    tau, so such a law fails instead, after the points are evaluated (a point
-    where a side does not converge still aborts the suite): as a degenerate
-    law naming the vanishing sides when each is zero below an order above
-    _LEAD_BOUND, else as insufficient order.
-    """
-    order, vanishing = None, []
-    for label, s in sides.items():
-        # the least order, compared only between distinct Fractions
-        if order is None or (s.order is not order and s.order < order):
-            order = s.order
-        if s.is_zero():
-            vanishing.append(label)
-    if vanishing and all(sides[label].order > _LEAD_BOUND for label in vanishing):
-        return CheckReport(name, "numeric", False, order,
-                           details=[{"error": "degenerate law", "vanishing": vanishing}])
-    if vanishing:
-        return _insufficient_order(name, order, "a nonzero term on each side", kind="numeric")
-    max_res = max_tail = None
-    for d in details:
-        # the running maxima keep the first of equal values and a leading NaN,
-        # as max() does
-        if max_res is None or d["residual"] > max_res:
-            max_res = d["residual"]
-        if max_tail is None or d["tail"] > max_tail:
-            max_tail = d["tail"]
-    if max_res is None:
-        raise ValueError(f"numeric law {name} has no sample point")
-    passed = max_res < tol and max_tail < tol / 10
-    return CheckReport(name, "numeric", passed, order, max_res, max_tail, details)
-
-
 def check_transform_numeric(name: str, f: PuiseuxSeries, g: PuiseuxSeries,
                             spec: TransformSpec) -> CheckReport:
-    """Residuals of f(gamma tau) = multiplier * (c tau + d)^weight * g(tau).
+    """Residuals of the affine law
+        f(gamma tau) = multiplier * (c tau + d)^weight * g(tau)
+                       + defect * c * (c tau + d)^(weight - 1).
 
-    The weight is read once as a float, so a weight beyond the float range
-    raises OverflowError before the first evaluation; the factor is
-    multiplier * (c tau + d)^weight, as slash_factor(-weight) computes it,
-    and multiplier * (1 + 0j) at weight 0.  mobius checks each tau.
+    A zero defect (every law but E2's) is the homogeneous law, and the extra
+    term is then not computed.  The weight is read once as a float, so a
+    weight beyond the float range raises OverflowError before the first
+    evaluation; the factor is multiplier * (c tau + d)^weight, as
+    slash_factor(-weight) computes it, and multiplier * (1 + 0j) at weight 0.
+    mobius checks each tau.
+
+    The law passes when every residual is below the tolerance and every tail
+    below a tenth of it.  A side with no nonzero term below its order has
+    value 0 and tail 0 at every tau, so such a law fails instead, after the
+    points are evaluated (a point where a side does not converge still aborts
+    the suite): as a degenerate law naming the vanishing sides when each is
+    zero below an order above _LEAD_BOUND, else as insufficient order.
     """
-    gamma, weight, multiplier = spec.gamma, spec.weight, spec.multiplier
+    gamma, weight, multiplier, defect = spec.gamma, spec.weight, spec.multiplier, spec.defect
     w = float(weight)
     details = []
+    max_res = max_tail = None
     for tau in spec.sample_points:
         tau = complex(tau)
         value, tail, reliable = f.evaluate(mobius(gamma, tau))
         g_value, g_tail, g_reliable = g.evaluate(tau)
         factor = multiplier * (_cz_power(w, gamma, tau) if weight else 1.0 + 0j)
-        details.append({"tau": [tau.real, tau.imag],
-                        "residual": abs(value - factor * g_value),
-                        "tail": tail + abs(factor) * g_tail,
+        if defect:
+            value -= defect * gamma.c * _cz_power(w - 1, gamma, tau)
+        residual, tail = abs(value - factor * g_value), tail + abs(factor) * g_tail
+        details.append({"tau": [tau.real, tau.imag], "residual": residual, "tail": tail,
                         "tail_reliable": reliable and g_reliable})
-    return _numeric_law(name, {"lhs": f, "rhs": g}, details, spec.tolerance)
+        # the running maxima keep the first of equal values and a leading NaN,
+        # as max() does
+        if max_res is None or residual > max_res:
+            max_res = residual
+        if max_tail is None or tail > max_tail:
+            max_tail = tail
+    # the least order, compared only between distinct Fractions
+    order = g.order if g.order is not f.order and g.order < f.order else f.order
+    vanishing = {label: s for label, s in (("lhs", f), ("rhs", g)) if s.is_zero()}
+    if vanishing and all(s.order > _LEAD_BOUND for s in vanishing.values()):
+        return CheckReport(name, "numeric", False, order,
+                           details=[{"error": "degenerate law", "vanishing": list(vanishing)}])
+    if vanishing:
+        return _insufficient_order(name, order, "a nonzero term on each side", kind="numeric")
+    if max_res is None:
+        raise ValueError(f"numeric law {name} has no sample point")
+    passed = max_res < spec.tolerance and max_tail < spec.tolerance / 10
+    return CheckReport(name, "numeric", passed, order, max_res, max_tail, details)
 
 
 # rho(gamma) on the nonvanishing Z_2 characters: c_(i,j)(gamma tau) is the
@@ -375,25 +368,12 @@ def eisenstein_suite(exact_order=None, numeric_order=None, tol=None) -> list[Che
             f"E{k}-S-modularity", ek, ek,
             TransformSpec(S, Fraction(k), 1.0 + 0j, (2j,), tolerance)))
 
-    # E2 quasi-modularity: (E2(-1/tau) - tau^2 E2(tau))/tau against its predicted value
-    predicted = 1j / (2 * math.pi)
+    # E2 quasi-modularity: E2 = -E2_classical/12 and E2_classical(-1/tau) =
+    # tau^2 E2_classical(tau) + 12 tau/(2 pi i), so the defect is
+    # -1/(2 pi i) = i/(2 pi) times c (c tau + d) = tau under S
     e2 = specfun.eisenstein(2, order)
-    measured, details = [], []
-    for tau in (2j, 3j):
-        lv = e2.evaluate(-1 / tau)
-        rv = e2.evaluate(tau)
-        const = (lv.value - tau ** 2 * rv.value) / tau
-        measured.append([const.real, const.imag])
-        tail = (lv.tail_estimate + abs(tau) ** 2 * rv.tail_estimate) / abs(tau)
-        details.append({"tau": [tau.real, tau.imag], "residual": abs(const - predicted),
-                        "tail": tail})
-    rep = _numeric_law("E2-S-defect-constancy", {"E2": e2}, details, tolerance)
-    rep.details.append({"predicted_defect_over_tau": [predicted.real, predicted.imag],
-                        "measured_defect_over_tau": measured,
-                        "note": "E2 = -E2_classical/12 and E2_classical(-1/tau) = "
-                                "tau^2 E2_classical(tau) + 12 tau/(2 pi i), so the "
-                                "defect/tau is -1/(2 pi i) = i/(2 pi)"})
-    reports.append(rep)
+    reports.append(check_transform_numeric("E2-S-defect-constancy", e2, e2, TransformSpec(
+        S, Fraction(2), 1.0 + 0j, (2j, 3j), tolerance, 1j / (2 * math.pi))))
     return reports
 
 

@@ -89,6 +89,24 @@ class TestCheckTransformNumeric:
         rep = check_transform_numeric("wrong", f, g, spec)
         assert not rep.passed and rep.max_residual > 1e-3
 
+    # E2(gamma tau) = (c tau + d)^2 E2(tau) + (i/2 pi) c (c tau + d) in this
+    # code's normalization: the law holds with that defect only, not with none
+    # or with the opposite sign
+    @pytest.mark.parametrize("tau", [0.3 + 1.2j, 2j], ids=str)
+    @pytest.mark.parametrize("gamma", [S, ModularMatrix(1, 0, 1, 1), ModularMatrix(2, 1, 1, 1),
+                                       ModularMatrix(1, 0, 2, 1)],
+                             ids=lambda m: ",".join(map(str, m.entries())))
+    @pytest.mark.parametrize("defect, holds", [(1j / (2 * math.pi), True), (0j, False),
+                                               (-1j / (2 * math.pi), False)],
+                             ids=["i/2pi", "0", "-i/2pi"])
+    def test_e2_affine_law(self, gamma, tau, defect, holds):
+        e2 = specfun.eisenstein(2, 60)
+        spec = TransformSpec(gamma, F(2), 1 + 0j, (tau,), 1e-8, defect)
+        rep = check_transform_numeric("E2-affine", e2, e2, spec)
+        assert rep.passed is holds
+        if not holds:
+            assert rep.max_residual > 0.1
+
 
 _LAW_SERIES = {"eta": specfun.dedekind_eta(40).to_complex(),
                "E4": specfun.eisenstein(4, 40).to_complex(),
@@ -701,12 +719,13 @@ def test_e2_defect_compared_with_predicted_value():
     reports, _ = run_suite("eisenstein")
     rep = next(r for r in reports if r.name == "E2-S-defect-constancy")
     assert rep.passed and rep.max_residual < 1e-12
-    info = rep.details[-1]
-    assert info["predicted_defect_over_tau"] == [0.0, 1 / (2 * math.pi)]
-    for re, im in info["measured_defect_over_tau"]:
-        assert abs(complex(re, im) - 1j / (2 * math.pi)) == pytest.approx(0, abs=1e-12)
-    # one residual per sample point, each against the predicted value
-    assert [d["tau"] for d in rep.details[:-1]] == [[0.0, 2.0], [0.0, 3.0]]
+    # one detail per sample point, each with a reliable tail
+    assert [d["tau"] for d in rep.details] == [[0.0, 2.0], [0.0, 3.0]]
+    assert all(d["tail_reliable"] for d in rep.details)
+    # the predicted defect is what makes the row pass
+    e2 = specfun.eisenstein(2, 60)
+    spec = TransformSpec(S, F(2), 1 + 0j, (2j, 3j), 1e-8, 0j)
+    assert not check_transform_numeric("E2-S-no-defect", e2, e2, spec).passed
 
 
 class TestCliRobustness:
