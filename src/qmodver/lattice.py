@@ -42,23 +42,16 @@ class CharacterData(NamedTuple):
     series: PuiseuxSeries
 
 
-def _lattice_exponent(s: int, twisted: bool) -> Fraction:
-    if twisted:
-        # (s + 1/2)(s - 1/2)/2 = (4 s^2 - 1)/8
-        return Fraction(4 * s * s - 1, 8)
-    return Fraction(s * (s - 1), 2)
-
-
 def lattice_sum(sector: SectorPair, order) -> PuiseuxSeries:
-    """Bilateral sum over lattice points: sign^s q^{exponent(s)} truncated at order."""
+    """Bilateral sum over lattice points: sign^s q^{exponent(s)} truncated at
+    order, the exponent (s + 1/2)(s - 1/2)/2 = (4 s^2 - 1)/8 (twisted) or
+    s(s - 1)/2, each an integer slot of the grid D."""
     alternating, twisted, _ = _SECTORS[_sector_key(sector)]
     order = Fraction(order)
     D = math.lcm(8 if twisted else 2, order.denominator)
     N = math.isqrt(max(0, math.ceil(2 * order))) + 3
-    terms = []
-    for s in range(-N, N + 1):
-        e = _lattice_exponent(s, twisted)
-        terms.append((e.numerator * (D // e.denominator), -1 if (alternating and s % 2) else 1))
+    terms = [((4 * s * s - 1) * D // 8 if twisted else s * (s - 1) * D // 2,
+              -1 if (alternating and s % 2) else 1) for s in range(-N, N + 1)]
     return PuiseuxSeries.from_slots(terms, D, order)
 
 
@@ -113,8 +106,14 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
     are summed into one list over its points, one strided slice add per
     lattice point s, and point i is then weighted by its exponent, as a
     numerator over the grid D = lcm(24, order.denominator).
+
+    The sign and the grid are read from the sector pair (i, j) by the paper's
+    rule, not from the sector table that `lattice_sum` reads, so the two sides
+    of the l0 rows share no flag: the module is twisted when g = sigma^i is
+    sigma, and h sigma = sigma^(j + 1) acts by (-1)^s on e^{s alpha} when j = 0.
     """
-    alternating, twisted, _ = _SECTORS[_sector_key(sector)]
+    i, j = _sector_key(sector)
+    twisted, alternating = i == 1, j == 0
     order = Fraction(order)
     D = math.lcm(24, order.denominator)
     # the first exponent and the step of the sector's lattice, in slots of the grid D

@@ -238,9 +238,11 @@ def _kronecker_pays(a, b) -> bool:
     pairs.  So sparse operands such as the Euler product, eta and theta,
     and a sparse operand against a wide dense one, keep schoolbook, and
     `_quotient` turns down block products whose digits are too wide for
-    their length (1/E4, 1/E6)."""
+    their length (1/E4, 1/E6).  A digit takes a byte at least, so fewer pairs
+    than 2 (len a + len b) decide before any width is computed."""
     pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-    return pairs >= 2 * (len(a) + len(b)) * _digit_bytes(a, b)
+    bound = 2 * (len(a) + len(b))
+    return pairs >= bound and pairs >= bound * _digit_bytes(a, b)
 
 
 _BLOCK = 64  # _quotient runs the recurrence directly on ranges of at most this many terms

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, lcm
+from operator import add
 
 from ._record import FrozenRecord
 from .series import COMPLEX, EXACT, PuiseuxSeries, SeriesError
@@ -136,6 +137,10 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     lambda^{-1}.  Each factor root q^x / (1 - root q^x) is expanded as
     sum_{m >= 1} root^m q^{mx} below the order.
 
+    Every term lands in one list over the grid slots below the order: each
+    sum forms its powers root^m once, and each num adds weight * root^m to the
+    slots m * (its slot) in one strided slice add, in the order of the terms.
+
     At the trivial twist (mu, lambda) = (1, 1) an even k gives Zhu's E_k,
     which `eisenstein` builds here, and an odd k raises `InvalidTwistError`.
     """
@@ -171,14 +176,13 @@ def q_twisted(k: int, tw: TwistParams, order) -> PuiseuxSeries:
     D = lcm(tw.T, order.denominator)
     step = D // tw.T
     top = math.ceil(order * D)
-    terms = [(0, const)]
-    if tw.j == 0 and k == 1:
-        terms.append((0, lam_const))
+    acc = [const + (lam_const if tw.j == 0 and k == 1 else 0)] + [0] * (top - 1)
     for first, base, root in ((tw.j or tw.T, 1, lam), (tw.T - tw.j, (-1) ** k, lam_inv)):
+        powers = [root ** m for m in range(1, -(-top // (first * step)))]
         for num in range(first, -(-top // step), tw.T):
-            w, slot = weight(num, base), num * step
-            terms += [(m * slot, w * root ** m) for m in range(1, -(-top // slot))]
-    return PuiseuxSeries.from_slots(terms, D, order, domain, den)
+            slot = num * step
+            acc[slot::slot] = map(add, acc[slot::slot], map(weight(num, base).__mul__, powers))
+    return PuiseuxSeries.from_slots(enumerate(acc), D, order, domain, den)
 
 
 def euler_product(order) -> PuiseuxSeries:

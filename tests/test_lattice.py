@@ -5,9 +5,8 @@ import pytest
 
 from qmodver import lattice
 from qmodver.lattice import (_SECTORS, CENTRAL_CHARGE, PREFACTOR_EXP,
-                             _lattice_exponent, _partition_counts, all_sectors,
-                             character, eta_theta_form, l0_inserted_trace,
-                             lattice_sum)
+                             _partition_counts, all_sectors, character,
+                             eta_theta_form, l0_inserted_trace, lattice_sum)
 from qmodver.modgroup import SectorPair
 from qmodver.series import PuiseuxSeries
 
@@ -15,6 +14,13 @@ UNTWISTED_ALT = SectorPair(2, 0, 0)   # (1, 1)
 UNTWISTED = SectorPair(2, 0, 1)       # (1, sigma)
 TWISTED = SectorPair(2, 1, 1)         # (sigma, sigma)
 TWISTED_ALT = SectorPair(2, 1, 0)     # (sigma, 1)
+
+
+def _lattice_exponent(s: int, twisted: bool) -> F:
+    if twisted:
+        # (s + 1/2)(s - 1/2)/2 = (4 s^2 - 1)/8
+        return F(4 * s * s - 1, 8)
+    return F(s * (s - 1), 2)
 
 
 class TestLatticeSum:
@@ -36,6 +42,18 @@ class TestLatticeSum:
         for e, c in s.terms():
             n = sum(1 for k in range(-30, 31) if F(k * (k - 1), 2) == e)
             assert c == n
+
+
+@pytest.mark.parametrize("order", [F(-1, 8), F(0), F(1, 3), F(7, 2), F(30), F(301, 3)], ids=str)
+def test_lattice_sum_matches_fraction_reference(order):
+    # the integer-slot build against the Fraction exponents through from_terms
+    for sector in all_sectors():
+        alternating, twisted, _ = _SECTORS[(sector.i, sector.j)]
+        N = math.isqrt(max(0, math.ceil(2 * order))) + 3
+        terms = [(_lattice_exponent(s, twisted), -1 if (alternating and s % 2) else 1)
+                 for s in range(-N, N + 1)]
+        ref = PuiseuxSeries.from_terms(terms, order, ramification=8 if twisted else 2)
+        assert lattice_sum(sector, order).to_json_dict() == ref.to_json_dict()
 
 
 class TestCharacter:

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -206,6 +207,32 @@ def test_q_twisted_matches_fraction_reference(k, order):
             continue
         got = json.dumps(q_twisted(k, tw, order).to_json_dict())
         assert got == json.dumps(ref_q_twisted(k, tw, order).to_json_dict()), tw
+
+
+# sha256 of json.dumps(to_json_dict()) at orders the Fraction reference is too
+# slow to build: m passes 100, where a complex power root ** m leaves repeated
+# multiplication, and the weights reach k = 400
+DEEP_FORMS = [
+    ("Q2:0,1,1,3", 400, "0784da4c19059fce45e87c71d6e3ce760d4b4022b48cbe9ba95aeb10c6857ec9"),
+    ("Q2:0,1,1,4", 700, "2e49715beff7d88b48868cf5886ffc6e6e69ab970925b5d511590877e61e3a9f"),
+    ("Q2:1,2,0,1", 1500, "77f58050286eedaaab3be914f72e1774f03915d51337826362af9e86a8f195bb"),
+    ("Q2:1,2,1,2", 1500, "bf5c16995cef7106c8a902498c93d837d9a4b1b9e752345dd135e796c4ab9883"),
+    ("Q3:2,6,5,6", 300, "b5ad3140d57402703a2aaa6da576c5f489bfc1e66ccdb31ca3f2010320cd40f7"),
+    ("Q400:1,24,0,1", 250, "6086087a2430cd1d3d18503b351d216ac89b967fbe03747dd9bbb194c0a9c91d"),
+    ("E2", 1500, "0015e77cc59380b5912dbeacf2e6615828308b251c22d889a16ac19fcd85b5c5"),
+    ("E4", 1500, "62b935c5e91ea8756f2effd1b39452b970b1fc8b739988ccb889c25ee40d030e"),
+    ("E400", 2000, "d0107dc30bf080450f8bfcecdf9e2a262406ed990ae8fc32fb2363978b40aea6"),
+]
+
+
+@pytest.mark.parametrize("name, order, digest", DEEP_FORMS, ids=lambda v: str(v)[:16])
+def test_deep_q_twisted_forms_are_pinned(name, order, digest):
+    if name.startswith("E"):
+        s = eisenstein(int(name[1:]), order)
+    else:
+        k, twist = name[1:].split(":")
+        s = q_twisted(int(k), TwistParams(*map(int, twist.split(","))), order)
+    assert hashlib.sha256(json.dumps(s.to_json_dict()).encode()).hexdigest() == digest
 
 
 class TestEta:

@@ -728,6 +728,39 @@ def test_e2_defect_compared_with_predicted_value():
     assert not check_transform_numeric("E2-S-no-defect", e2, e2, spec).passed
 
 
+@pytest.mark.parametrize("order", [F(1), F(30), F(301, 3)], ids=str)
+def test_qk_t_law_row_fails_against_the_self_target(monkeypatch, order):
+    # Q_k(-1, lambda; tau + 1) = Q_k(-1, -lambda; tau) passes; with every
+    # lambda read as 1 the row compares Q_k(-1, 1) with its own shift, the
+    # target the row had before, which differs at q^{1/2} for every even k
+    def row():
+        reports, _ = run_suite("qk", exact_order=order, numeric_order=20)
+        return next(r for r in reports if r.name == "Qk-tau-periodicity")
+
+    right = row()
+    assert right.passed and right.order_used == order
+    q_twisted = specfun.q_twisted
+    monkeypatch.setattr(specfun, "q_twisted", lambda k, tw, o: q_twisted(
+        k, specfun.TwistParams(tw.j, tw.T, 0, tw.T1), o))
+    wrong = row()
+    assert not wrong.passed
+    assert [(d["k"], d["lambda"]) for d in wrong.details] == [
+        (k, lam) for k in (2, 4, 6) for lam in (1, -1)]
+    assert {d["first_mismatch_exponent"] for d in wrong.details} == {"1/2"}
+    assert wrong.details[:2] == [
+        {"k": 2, "lambda": lam, "first_mismatch_exponent": "1/2", "lhs": "-1", "rhs": "1"}
+        for lam in (1, -1)]
+    assert (wrong.details[2]["lhs"], wrong.details[2]["rhs"]) == ("-1/24", "1/24")
+
+
+def test_qk_t_law_row_needs_an_order_above_half():
+    for order in (F(1, 3), F(1, 2)):
+        reports, _ = run_suite("qk", exact_order=order, numeric_order=20)
+        rep = next(r for r in reports if r.name == "Qk-tau-periodicity")
+        assert rep.details == [{"error": "insufficient order", "have": str(order),
+                                "need": "above 1/2"}]
+
+
 class TestCliRobustness:
     @pytest.mark.parametrize("argv", [
         ["check", "--suite", "transforms", "--tau", "nan,1"],
