@@ -45,8 +45,8 @@ divisor's own lattice.  Each solved block reaches the rest of its range
 through a block product where the same rule takes it, through schoolbook
 where the rule turns it down but at least half the block is zero (a sparse
 quotient such as theta), and otherwise through the recurrence term by term
-(the dense inverse of the Euler product).  `**` squares repeatedly and
-stores what multiplying the factors in turn would.  `first_mismatch` spreads
+(the dense inverse of the Euler product).  `**` is one(order) times the
+repeated squares, so `*` alone sets its order.  `first_mismatch` spreads
 both sides onto one lattice over one den and compares the two lists, which
 `__add__` sums; `__mul__` and `/` share one placement, `_on_pair_lattice`.
 `_on_lattice` places every operand, and `_slot_count` counts the points of
@@ -434,7 +434,8 @@ class PuiseuxSeries(FrozenRecord):
 
     @staticmethod
     def one(order: RationalLike, domain: str = EXACT) -> "PuiseuxSeries":
-        return PuiseuxSeries.monomial(_zero_of(domain) + 1, Fraction(0), order, domain)
+        """The empty product: 1 below the order, the zero series at an order <= 0."""
+        return PuiseuxSeries.from_terms([(0, _zero_of(domain) + 1)], order, domain)
 
     @staticmethod
     def monomial(coeff, exp: RationalLike, order: RationalLike,
@@ -588,25 +589,21 @@ class PuiseuxSeries(FrozenRecord):
         return PuiseuxSeries._from_lattice(D, base, G, acc, order, EXACT, self.den * other.den)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
-        """self^n by repeated squaring, in the stored form of one(order) times
-        the n factors multiplied in turn.  That product knows the power modulo
-        order + n*lead - max(lead, 0), lead being the order for the zero
-        series; squaring knows more when lead < 0, so its result is cut."""
+        """self^n, stored as one(order) times the n factors in turn: the
+        product with one cuts what squaring knows (more, when lead < 0) to
+        what that loop knows, so `*` alone decides the order."""
         if not isinstance(n, int) or n < 0:
             raise SeriesError("series powers must be nonnegative integers (use invert)")
         _require_exact(self)
         one = PuiseuxSeries.one(self.order)
-        if n < 2:
-            return one * self if n else one
-        lead = self._lead_or_order()
-        order = self.order + n * lead - max(lead, 0)
+        if n == 0:
+            return one
         out = self
         for bit in bin(n)[3:]:
             out = out * out
             if bit == "1":
                 out = out * self
-        out = out.truncate(order)
-        return out if out.vals else PuiseuxSeries.zero(order)
+        return one * out
 
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.

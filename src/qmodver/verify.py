@@ -7,7 +7,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cache
 from typing import Callable, NamedTuple
 
 from . import lattice, specfun
@@ -258,12 +257,11 @@ def identities_suite(exact_order=None) -> list[CheckReport]:
     o_std = Fraction(_given(exact_order, 34))
     o_deriv = Fraction(_given(exact_order, 24))
     # theta-eta relations; the tau/2 pieces need eta built to twice the target
-    # order, and the quotients know no more than o_std, so the rest stop at o_std + 1;
-    # eta(2 tau)^2 and eta(tau/2)^2 are squared once, by the first row that reads them
+    # order, and the quotients know no more than o_std, so the rest stop at o_std + 1
     eta = specfun.dedekind_eta(o_std)
     eta2 = specfun.dedekind_eta(2 * o_std)
-    eta_double_sq = cache(lambda: eta2.rescale(2).truncate(o_std + 1) ** 2)
-    eta_half_sq = cache(lambda: eta2.rescale(Fraction(1, 2)) ** 2)
+    eta_double_sq = eta2.rescale(2).truncate(o_std + 1) ** 2
+    eta_half_sq = eta2.rescale(Fraction(1, 2)) ** 2
     sectors = {sec: SectorPair(2, *sec) for sec in ((0, 0), (0, 1), (1, 1), (1, 0))}
 
     rows = [
@@ -279,12 +277,12 @@ def identities_suite(exact_order=None) -> list[CheckReport]:
              for i, j in ((0, 1), (1, 1), (1, 0))]
     rows += [
         _ExactRow("theta2-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(2, o_std),
-                  lambda: (eta_double_sq() / eta).scale(2)),
+                  lambda: (eta_double_sq / eta).scale(2)),
         _ExactRow("theta3-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(3, o_std),
                   lambda: (specfun.dedekind_eta(o_std + 1) ** 5
-                           / (eta_double_sq() * eta_half_sq()))),
+                           / (eta_double_sq * eta_half_sq))),
         _ExactRow("theta4-eta-relation", o_std, 30, lambda: specfun.jacobi_theta(4, o_std),
-                  lambda: eta_half_sq() / eta),
+                  lambda: eta_half_sq / eta),
     ]
     rows += [_ExactRow(f"l0-insertion-({i},{j})", o_deriv, 20,
                        lambda sp=sp: lattice.l0_inserted_trace(sp, o_deriv),
@@ -296,7 +294,7 @@ def identities_suite(exact_order=None) -> list[CheckReport]:
         "character-(1,0)-distinct-parts-variant (expected fail)", o_std, 30,
         lambda: (specfun.distinct_parts_product(o_std + 1)
                  * lattice.lattice_sum(sectors[1, 0], o_std + 1)
-                 ).shifted(Fraction(1, 12)).truncate(o_std),
+                 ).shifted(lattice.PREFACTOR_EXP).truncate(o_std),
         lambda: lattice.eta_theta_form(sectors[1, 0], o_std), expected_fail=True))
     return _exact_rows(rows)
 

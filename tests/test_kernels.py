@@ -293,12 +293,15 @@ def linear_power(s, n):
 @given(lattice_series(max_terms=12, zero=True), st.integers(min_value=0, max_value=9))
 def test_power_by_squaring_stores_the_linear_product(s, n):
     # negative leads, den > 1, g > 1 and orders off the grid: the stored form,
-    # order and ramification included, is the linear loop's
-    if s.order <= 0:
-        with pytest.raises(series.SeriesError):
-            s ** n
-        return
+    # order and ramification included, is the linear loop's, at orders <= 0 too
     assert s ** n == linear_power(s, n)
+
+
+def test_the_empty_product_at_an_order_at_most_zero_is_the_zero_series():
+    eta = specfun.dedekind_eta(F(-1, 3))
+    for s, order in ((PuiseuxSeries.zero(0) ** 2, 0), (PuiseuxSeries.one(0), 0),
+                     (PuiseuxSeries.one(F(-1, 2)), F(-1, 2)), (eta ** 0, F(-1, 3))):
+        assert s == PuiseuxSeries.zero(order)
 
 
 # -- comparison -------------------------------------------------------------------

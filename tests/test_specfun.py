@@ -143,10 +143,14 @@ class TestQTwisted:
         assert q_twisted(1, TwistParams(1, 2, 0, 1), 20).is_zero()
 
     def test_periodicity(self):
-        tw = TwistParams(1, 2, 1, 2)
-        for k in (1, 2, 3):
-            s = q_twisted(k, tw, 10)
-            assert s.shift_tau(2).equals(s)
+        # the T-law across twists, Q_k(mu, lambda; tau + 1) = Q_k(mu, mu lambda; tau),
+        # at mu = -1 and lambda = +-1; an even Q_k there is not its own tau + 1 shift
+        for k in (1, 2, 3, 4):
+            for l in (0, 1):
+                s = q_twisted(k, TwistParams(1, 2, l, 2), 10)
+                assert s.shift_tau(1).equals(q_twisted(k, TwistParams(1, 2, 1 - l, 2), 10))
+                if k % 2 == 0:
+                    assert not s.shift_tau(1).equals(s)
 
     def test_complex_domain_for_general_roots(self):
         s = q_twisted(1, TwistParams(0, 1, 1, 3), 5)
