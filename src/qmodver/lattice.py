@@ -1,7 +1,12 @@
 """Supertrace characters of the rank-1 lattice VOSA with shifted conformal
 vector (central charge -2) and its sigma-twisted module: the four sectors
-(1,1), (1,sigma), (sigma,sigma), (sigma,1), built both from the lattice sum
-and from the eta/theta closed forms."""
+(1,1), (1,sigma), (sigma,sigma), (sigma,1), built from the lattice sum, as
+eta quotients with no bilateral sum, and as L(0)-inserted traces from the
+state count.
+
+Each builder reads the sector pair (i, j) by the paper's rule: the module is
+twisted when g = sigma^i is sigma, and h sigma = sigma^(j + 1) acts by
+(-1)^s on e^{s alpha} when j = 0."""
 
 from __future__ import annotations
 
@@ -12,18 +17,11 @@ from typing import NamedTuple
 
 from .modgroup import SectorPair
 from .series import PuiseuxSeries, _slot_count
-from .specfun import dedekind_eta, jacobi_theta, partition_gf
+# jacobi_theta is not called here: perfbench/tracer.py rebinds this name, so a traced run needs it
+from .specfun import _bilateral_sum, dedekind_eta, jacobi_theta, partition_gf
 
 CENTRAL_CHARGE = Fraction(-2)
 PREFACTOR_EXP = Fraction(1, 12)  # q^{-c/24} with c = -2
-
-# sector -> (alternating sign (-1)^s, twisted exponent grid, matching theta index)
-_SECTORS = {
-    (0, 0): (True, False, 1),   # (1, 1)
-    (0, 1): (False, False, 2),  # (1, sigma)
-    (1, 1): (False, True, 3),   # (sigma, sigma)
-    (1, 0): (True, True, 4),    # (sigma, 1)
-}
 
 
 def _sector_key(sector: SectorPair) -> tuple[int, int]:
@@ -33,7 +31,7 @@ def _sector_key(sector: SectorPair) -> tuple[int, int]:
 
 
 def all_sectors() -> list[SectorPair]:
-    return [SectorPair(2, i, j) for (i, j) in _SECTORS]
+    return [SectorPair(2, i, j) for i, j in ((0, 0), (0, 1), (1, 1), (1, 0))]
 
 
 class CharacterData(NamedTuple):
@@ -43,16 +41,12 @@ class CharacterData(NamedTuple):
 
 
 def lattice_sum(sector: SectorPair, order) -> PuiseuxSeries:
-    """Bilateral sum over lattice points: sign^s q^{exponent(s)} truncated at
-    order, the exponent (s + 1/2)(s - 1/2)/2 = (4 s^2 - 1)/8 (twisted) or
-    s(s - 1)/2, each an integer slot of the grid D."""
-    alternating, twisted, _ = _SECTORS[_sector_key(sector)]
-    order = Fraction(order)
-    D = math.lcm(8 if twisted else 2, order.denominator)
-    N = math.isqrt(max(0, math.ceil(2 * order))) + 3
-    terms = [((4 * s * s - 1) * D // 8 if twisted else s * (s - 1) * D // 2,
-              -1 if (alternating and s % 2) else 1) for s in range(-N, N + 1)]
-    return PuiseuxSeries.from_slots(terms, D, order)
+    """Bilateral sum over the lattice points s: (-1)^s (when j = 0) times
+    q^{s(s - 1)/2} untwisted (i = 0) or q^{(4 s^2 - 1)/8} twisted (i = 1),
+    truncated at order; the bilateral sum of the theta functions at a = 1 - i,
+    c = 1."""
+    i, j = _sector_key(sector)
+    return _bilateral_sum(1 - i, 1, j == 0, order)
 
 
 @lru_cache(maxsize=32)
@@ -72,12 +66,28 @@ def character(sector: SectorPair, order) -> CharacterData:
 
 @lru_cache(maxsize=32)
 def eta_theta_form(sector: SectorPair, order) -> PuiseuxSeries:
-    """The closed form theta_i(q) / eta(tau) matched to the sector, by exact
-    division; memoized, as `character` is."""
-    _, _, theta_index = _SECTORS[_sector_key(sector)]
+    """The sector's closed form as an eta quotient, which reads no bilateral
+    sum: theta_2/eta = 2 eta(2 tau)^2/eta^2 for (0,1) and theta_4/eta =
+    eta(tau/2)^2/eta^2 for (1,0), each one sparse square and two divisions by
+    eta built at order + 1 (eta(tau/2) from eta at 2 order + 2) and truncated
+    at the order; (1,1) is the (1,0) form under tau -> tau + 1, theta_3(tau) =
+    theta_4(tau + 1), with q^{1/24} taken out so the phase is a sign; (0,0) is
+    the zero series, as it is at every order where eta is zero below order + 1.
+    Memoized, as `character` is."""
+    i, j = _sector_key(sector)
     order = Fraction(order)
     inner = order + 1
-    return (jacobi_theta(theta_index, inner) / dedekind_eta(inner)).truncate(order)
+    eta = dedekind_eta(inner)
+    if (i, j) == (0, 0) or eta.is_zero():
+        return PuiseuxSeries.zero(order)
+    if (i, j) == (1, 1):
+        c10 = eta_theta_form(SectorPair(2, 1, 0), order)
+        return c10.shifted(Fraction(1, 24)).shift_tau(1).shifted(Fraction(-1, 24))
+    if i == 0:
+        num = (eta.rescale(2).truncate(inner) ** 2).scale(2)
+    else:
+        num = dedekind_eta(2 * inner).rescale(Fraction(1, 2)) ** 2
+    return (num / eta / eta).truncate(order)
 
 
 @lru_cache(maxsize=1)
@@ -107,10 +117,10 @@ def l0_inserted_trace(sector: SectorPair, order) -> PuiseuxSeries:
     lattice point s, and point i is then weighted by its exponent, as a
     numerator over the grid D = lcm(24, order.denominator).
 
-    The sign and the grid are read from the sector pair (i, j) by the paper's
-    rule, not from the sector table that `lattice_sum` reads, so the two sides
-    of the l0 rows share no flag: the module is twisted when g = sigma^i is
-    sigma, and h sigma = sigma^(j + 1) acts by (-1)^s on e^{s alpha} when j = 0.
+    The sign and the grid are read from the sector pair (i, j) by the
+    module's rule, and the lattice points are walked here, not read from the
+    bilateral sum that the character's `lattice_sum` builds, so a wrong sign
+    or exponent in that sum fails the l0 rows.
     """
     i, j = _sector_key(sector)
     twisted, alternating = i == 1, j == 0

@@ -243,18 +243,23 @@ def partition_gf(order) -> PuiseuxSeries:
     return euler_product(order).invert()
 
 
-_THETA_SIGNS = {1: True, 2: False, 3: False, 4: True}
+def _bilateral_sum(a: int, c: int, alternating: bool, order) -> PuiseuxSeries:
+    """sum_{n in Z} (-1)^(n * alternating) q^{((2n - a)^2 - c)/8} below the order,
+    for a, c in {0, 1}: the one loop behind the theta functions (c = 0) and the
+    lattice sums (c = 1).  Every exponent is an integer slot of the grid
+    D = lcm(2 if a == c else 8, order.denominator)."""
+    order = Fraction(order)
+    D = lcm(2 if a == c else 8, order.denominator)
+    N = math.isqrt(max(0, math.ceil(2 * order))) + 3
+    terms = [(((2 * n - a) ** 2 - c) * D // 8, -1 if (alternating and n % 2) else 1)
+             for n in range(-N, N + 1)]
+    return PuiseuxSeries.from_slots(terms, D, order)
 
 
 def jacobi_theta(which: int, order) -> PuiseuxSeries:
-    """theta_1..theta_4 as bilateral sums; theta_1 is identically zero."""
+    """theta_1..theta_4 as bilateral sums: exponent (2n - 1)^2/8 for theta_1 and
+    theta_2, n^2/2 for theta_3 and theta_4, with the sign (-1)^n for theta_1
+    and theta_4; theta_1 is identically zero."""
     if which not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1, 2, 3 or 4")
-    order = Fraction(order)
-    half_shift = which in (1, 2)  # exponent (2n - 1)^2 / 8, else n^2 / 2
-    alternating = _THETA_SIGNS[which]
-    D = lcm(8 if half_shift else 2, order.denominator)
-    N = math.isqrt(max(0, math.ceil(2 * order))) + 3
-    terms = [(((2 * n - 1) ** 2 * D) // 8 if half_shift else (n * n * D) // 2,
-              -1 if (alternating and n % 2) else 1) for n in range(-N, N + 1)]
-    return PuiseuxSeries.from_slots(terms, D, order)
+    return _bilateral_sum(int(which < 3), 0, which in (1, 4), order)

@@ -3,17 +3,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from qmodver import lattice
-from qmodver.lattice import (_SECTORS, CENTRAL_CHARGE, PREFACTOR_EXP,
-                             _partition_counts, all_sectors, character,
-                             eta_theta_form, l0_inserted_trace, lattice_sum)
+from qmodver import lattice, specfun
+from qmodver.lattice import (CENTRAL_CHARGE, PREFACTOR_EXP, _partition_counts,
+                             all_sectors, character, eta_theta_form,
+                             l0_inserted_trace, lattice_sum)
 from qmodver.modgroup import SectorPair
 from qmodver.series import PuiseuxSeries
+from qmodver.specfun import jacobi_theta
 
 UNTWISTED_ALT = SectorPair(2, 0, 0)   # (1, 1)
 UNTWISTED = SectorPair(2, 0, 1)       # (1, sigma)
 TWISTED = SectorPair(2, 1, 1)         # (sigma, sigma)
 TWISTED_ALT = SectorPair(2, 1, 0)     # (sigma, 1)
+
+
+def _pair_rule(sector):
+    """(alternating, twisted) by the paper's rule: the module is twisted when
+    i = 1, and the sign (-1)^s is inserted when j = 0."""
+    return sector.j == 0, sector.i == 1
 
 
 def _lattice_exponent(s: int, twisted: bool) -> F:
@@ -44,16 +51,28 @@ class TestLatticeSum:
             assert c == n
 
 
+def _fraction_reference(exponent, alternating, order, ramification):
+    """sum over s in -N..N of (-1)^s (when alternating) q^exponent(s), with
+    Fraction exponents through from_terms."""
+    N = math.isqrt(max(0, math.ceil(2 * order))) + 3
+    terms = [(exponent(s), -1 if (alternating and s % 2) else 1) for s in range(-N, N + 1)]
+    return PuiseuxSeries.from_terms(terms, order, ramification=ramification)
+
+
 @pytest.mark.parametrize("order", [F(-1, 8), F(0), F(1, 3), F(7, 2), F(30), F(301, 3)], ids=str)
 def test_lattice_sum_matches_fraction_reference(order):
-    # the integer-slot build against the Fraction exponents through from_terms
+    # the integer-slot builds against the Fraction exponents through from_terms
     for sector in all_sectors():
-        alternating, twisted, _ = _SECTORS[(sector.i, sector.j)]
-        N = math.isqrt(max(0, math.ceil(2 * order))) + 3
-        terms = [(_lattice_exponent(s, twisted), -1 if (alternating and s % 2) else 1)
-                 for s in range(-N, N + 1)]
-        ref = PuiseuxSeries.from_terms(terms, order, ramification=8 if twisted else 2)
+        alternating, twisted = _pair_rule(sector)
+        ref = _fraction_reference(lambda s: _lattice_exponent(s, twisted), alternating,
+                                  order, 8 if twisted else 2)
         assert lattice_sum(sector, order).to_json_dict() == ref.to_json_dict()
+    for which in (1, 2, 3, 4):
+        # (2s - 1)^2/8 for theta_1 and theta_2, s^2/2 for theta_3 and theta_4
+        half = which < 3
+        ref = _fraction_reference(lambda s: F((2 * s - 1) ** 2, 8) if half else F(s * s, 2),
+                                  which in (1, 4), order, 8 if half else 2)
+        assert jacobi_theta(which, order).to_json_dict() == ref.to_json_dict()
 
 
 class TestCharacter:
@@ -103,13 +122,34 @@ class TestEtaThetaForm:
         assert s.coefficient_at(F(-1, 24) + F(3, 2)) == -2
         assert s.coefficient_at(F(-1, 24) + 2) == 2 * 1 + 1 * 2  # P(2) + 2 P(0)
 
-    def test_matches_character_all_sectors(self):
+    @pytest.mark.parametrize("order", [F(30), F(0), F(1, 3), F(301, 3)], ids=str)
+    def test_matches_character_all_sectors(self, order):
         for sector in all_sectors():
-            assert character(sector, 30).series.equals(eta_theta_form(sector, 30))
+            assert character(sector, order).series.equals(eta_theta_form(sector, order))
+
+    @pytest.mark.parametrize("order", [F(-3), F(-1), F(-23, 24)], ids=str)
+    def test_is_the_zero_series_where_eta_vanishes(self, order):
+        # eta is zero below order + 1 <= 1/24, so no quotient is formed; the
+        # character is the zero series there too
+        for sector in all_sectors():
+            assert eta_theta_form(sector, order) == PuiseuxSeries.zero(order)
+            assert character(sector, order).series.equals(eta_theta_form(sector, order))
+
+    def test_reads_no_bilateral_sum(self, monkeypatch):
+        # the eta quotients share no builder with the lattice sums or the thetas
+        def forbidden(*args):
+            raise AssertionError("eta_theta_form must not read a bilateral sum")
+
+        expected = {sector: character(sector, F(61, 2)).series for sector in all_sectors()}
+        for module in (lattice, specfun):
+            monkeypatch.setattr(module, "_bilateral_sum", forbidden)
+            monkeypatch.setattr(module, "jacobi_theta", forbidden)
+        for sector in all_sectors():
+            assert eta_theta_form(sector, F(61, 2)).equals(expected[sector])
 
     def test_is_memoized_and_divides_without_an_inverse(self, monkeypatch):
         # the character side inverts the Euler product (partition_gf); this
-        # side divides theta by eta, so the two sides share no inverse
+        # side divides eta quotients by eta, so the two sides share no inverse
         def forbidden(*args, **kwargs):
             raise AssertionError("eta_theta_form must divide, not invert")
 
@@ -138,7 +178,7 @@ class TestL0InsertedTrace:
 
 def ref_l0_inserted_trace(sector, order):
     """The termwise state sum with Fraction exponents through from_terms."""
-    alternating, twisted, _ = _SECTORS[(sector.i, sector.j)]
+    alternating, twisted = _pair_rule(sector)
     order = F(order)
     n_max = math.ceil(order - PREFACTOR_EXP + (F(1, 8) if twisted else 0)) + 1
     counts = _partition_counts(max(0, n_max))
@@ -167,7 +207,7 @@ def termwise_l0_inserted_trace(sector, order):
     """The state count walked over every lattice point s in -N..N, each with
     its own sign, as l0_inserted_trace built it before the points that share
     an exponent were summed."""
-    alternating, twisted, _ = _SECTORS[(sector.i, sector.j)]
+    alternating, twisted = _pair_rule(sector)
     order = F(order)
     D = math.lcm(24, order.denominator)
     top = math.ceil(order * D)

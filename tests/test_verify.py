@@ -976,8 +976,9 @@ def test_closure_suite_builds_each_character_once():
 
 
 def test_identities_suite_builds_each_eta_theta_form_once():
-    # the distinct-parts variant row reads the (1,0) build that
-    # character-(1,0)-eta-theta made; the cache starts empty (tests/conftest.py)
+    # the (1,1) form builds the (1,0) one it is the T-image of, and the
+    # character-(1,0)-eta-theta and distinct-parts variant rows read that
+    # build; the cache starts empty (tests/conftest.py)
     run_suite("identities", exact_order=120)
     info = lattice.eta_theta_form.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+    assert (info.misses, info.hits) == (3, 2)

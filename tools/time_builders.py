@@ -1,11 +1,13 @@
-"""Time the Q_k and E_k builders of one or more source trees, in fresh processes.
+"""Time the builders of one or more source trees, in fresh processes.
 
     python tools/time_builders.py TREE [TREE ...] [--rounds N]
 
 Each TREE is a checkout of this repository (its package is read from
 TREE/src).  Every round starts one fresh interpreter per tree, in an order
 that alternates from round to round, and each interpreter times every
-builder below once after a warm-up build of E4 at order 60.  The table gives
+builder below once after a warm-up build of E4 at order 60, each cold: the
+memoized builders (eta, the partition series, the characters and the
+closed forms) are emptied before each one.  The table gives
 each builder's median over the rounds, in ms; with two trees it also counts
 the rounds in which the second tree was faster.  Standard library only.
 """
@@ -19,7 +21,8 @@ import statistics
 import subprocess
 import sys
 
-# label -> the statement the child times; specfun and run_suite are in scope
+# label -> the statement the child times; specfun, lattice, SectorPair and
+# run_suite are in scope
 BUILDERS = {
     "E2 at 1500": "specfun.eisenstein(2, 1500)",
     "E400 at 2000": "specfun.eisenstein(400, 2000)",
@@ -28,15 +31,23 @@ BUILDERS = {
     "Q2(1,2,1,2) at 1500": "specfun.q_twisted(2, specfun.TwistParams(1, 2, 1, 2), 1500)",
     'run_suite("qk")': 'run_suite("qk")',
     'run_suite("eisenstein")': 'run_suite("eisenstein")',
+    **{f"eta_theta_form{pair} at {order}":
+       f"lattice.eta_theta_form(SectorPair(2, *{pair}), {order})"
+       for order in (120, 1500) for pair in ((0, 1), (1, 1), (1, 0))},
+    'run_suite("identities", exact_order=120)': 'run_suite("identities", exact_order=120)',
 }
 
 CHILD = """
 import json, sys, time
-from qmodver import specfun
+from qmodver import lattice, specfun
+from qmodver.modgroup import SectorPair
 from qmodver.verify import run_suite
 specfun.eisenstein(4, 60)
 times = {}
 for label, stmt in json.loads(sys.argv[1]).items():
+    for memo in (specfun.dedekind_eta, specfun.partition_gf, lattice.character,
+                 lattice.eta_theta_form):
+        memo.cache_clear()
     t0 = time.perf_counter()
     eval(stmt)
     times[label] = time.perf_counter() - t0
